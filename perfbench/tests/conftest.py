@@ -1,0 +1,15 @@
+"""Put the program (``src/``) and the benchmark modules on the path.
+
+Run the self-tests from the repository root:
+
+    python -m pytest perfbench/tests -q
+"""
+
+import os
+import sys
+
+BENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROOT = os.path.dirname(BENCH)
+for path in (os.path.join(ROOT, "src"), BENCH):
+    if path not in sys.path:
+        sys.path.insert(0, path)
