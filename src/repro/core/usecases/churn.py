@@ -236,8 +236,9 @@ class MessageLinkStage(MapStage):
         """Attach the linked customer's entity id artifact.
 
         Declared for ``bivoc effects``: ``EntityLinker.link`` scores
-        candidates without touching shared state, so the hook only
-        writes the document.
+        candidates, and the only state it writes is its similarity
+        memo, which never changes a score (racing threads store the
+        same value), so the hook only writes the document.
         """
         evidence = link_evidence_text(
             document.channel,

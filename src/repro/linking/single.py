@@ -52,7 +52,9 @@ class EntityLinker:
         self.table_name = table_name
         self.table = database.table(table_name)
         self.annotators = annotators or build_default_annotators()
-        self.registry = registry or default_registry()
+        # Memoised for this linker's life: the name and digit measures
+        # reuse per-value work across the documents it links.
+        self.registry = (registry or default_registry()).memoised()
         self.weights = dict(weights or {})
         self.candidate_limit = candidate_limit
         self.min_score = min_score

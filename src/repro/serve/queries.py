@@ -51,6 +51,12 @@ QUERY_KINDS = (
 #: Filter names accepted in a spec's ``filters`` clause.
 FILTER_NAMES = ("channel", "buckets", "category")
 
+#: Widest ``buckets: [lo, hi]`` filter a query may ask for.  The range
+#: is expanded into a bucket list, so an unbounded span would let a
+#: tiny request body allocate without limit; 10,000 daily buckets is
+#: over 27 years.
+MAX_BUCKET_SPAN = 10_000
+
 
 class QueryError(ValueError):
     """A malformed or unanswerable query spec (HTTP 400 territory)."""
@@ -143,6 +149,11 @@ def _bucket_range(filters):
         ) from None
     lo = _as_int(lo, "buckets filter lo")
     hi = _as_int(hi, "buckets filter hi", minimum=lo)
+    if hi - lo + 1 > MAX_BUCKET_SPAN:
+        raise QueryError(
+            f"buckets filter [{lo}, {hi}] spans {hi - lo + 1} buckets; "
+            f"at most {MAX_BUCKET_SPAN} are allowed"
+        )
     return list(range(lo, hi + 1))
 
 

@@ -52,6 +52,10 @@ class _Handler(BaseHTTPRequestHandler):
     """Routes the three endpoints onto the shared api functions."""
 
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle on, the body
+    # waits for the client's delayed ACK of the headers (~40 ms) on
+    # every keep-alive response.
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):
         """Silence per-request stderr logging (metrics cover it)."""

@@ -67,8 +67,7 @@ class TokenIndex:
         """Candidate entity ids for a query value, best first."""
         counts = Counter()
         for token in self._tokens(query):
-            for entity_id in self._postings.get(token, ()):
-                counts[entity_id] += 1
+            counts.update(self._postings.get(token, ()))
         return [entity_id for entity_id, _ in counts.most_common(limit)]
 
     def __len__(self):
@@ -104,8 +103,7 @@ class QGramIndex:
         """Candidate entity ids for a query value, best first."""
         counts = Counter()
         for gram in set(self._grams(query)):
-            for entity_id in self._postings.get(gram, ()):
-                counts[entity_id] += 1
+            counts.update(self._postings.get(gram, ()))
         return [entity_id for entity_id, _ in counts.most_common(limit)]
 
     def __len__(self):
@@ -139,8 +137,7 @@ class SoundexIndex:
         """Candidate entity ids for a query value, best first."""
         counts = Counter()
         for code in self._codes(query):
-            for entity_id in self._postings.get(code, ()):
-                counts[entity_id] += 1
+            counts.update(self._postings.get(code, ()))
         return [entity_id for entity_id, _ in counts.most_common(limit)]
 
     def __len__(self):

@@ -157,6 +157,10 @@ def write_replay_log(path, records):
             handle.write("\n")
 
 
+#: Fields every replay-log line must carry.
+_REPLAY_FIELDS = ("offset", "timestamp", "doc_id")
+
+
 class ReplayLogSource(StreamSource):
     """Replays a JSONL log written by :func:`write_replay_log`.
 
@@ -184,18 +188,38 @@ class ReplayLogSource(StreamSource):
 
     @staticmethod
     def _load(path):
-        """Read and validate the whole log; the retryable unit."""
+        """Read and validate the whole log; the retryable unit.
+
+        A bad line raises ``ValueError`` naming ``path:line`` and the
+        fault: invalid JSON, not an object, or a missing field.
+        """
         fault_point("replay.read")
         records = []
         with open(path, "r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle):
+            for line_no, line in enumerate(handle, start=1):
                 if not line.strip():
                     continue
-                entry = json.loads(line)
+                where = f"replay log {path}:{line_no}"
+                try:
+                    entry = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(
+                        f"{where}: invalid JSON ({exc.msg} at column "
+                        f"{exc.colno})"
+                    ) from exc
+                if not isinstance(entry, dict):
+                    raise ValueError(
+                        f"{where}: expected a JSON object, got "
+                        f"{type(entry).__name__}"
+                    )
+                for field in _REPLAY_FIELDS:
+                    if field not in entry:
+                        raise ValueError(
+                            f"{where}: missing field {field!r}"
+                        )
                 if entry["offset"] != len(records):
                     raise ValueError(
-                        f"replay log {path!r} line {line_no + 1}: "
-                        f"expected offset {len(records)}, found "
+                        f"{where}: expected offset {len(records)}, found "
                         f"{entry['offset']} (log must be dense and "
                         f"in delivery order)"
                     )

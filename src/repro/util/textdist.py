@@ -17,6 +17,17 @@ def levenshtein(a, b):
     Works on strings (character edits) and on lists/tuples of tokens
     (word edits), which is what WER computation needs.
 
+    Bit-parallel: the shorter sequence becomes a table of per-element
+    match masks, and each element of the longer one advances a whole
+    DP column as a few integer operations on Python ints (Myers, JACM
+    1999, in Hyyrö's formulation for global edit distance).  Bit ``i``
+    of ``vp``/``vn`` says the column's vertical delta
+    ``D[i+1][j] - D[i][j]`` is +1/-1; the distance is tracked at the
+    last row.  Python ints are unbounded, so columns longer than a
+    machine word need no blocking; every complement is masked to
+    ``len(pattern)`` bits so the vectors stay non-negative and do not
+    grow.  Returns exactly the classic DP's value.
+
     >>> levenshtein("kitten", "sitting")
     3
     >>> levenshtein(["a", "b"], ["a", "c", "b"])
@@ -24,25 +35,32 @@ def levenshtein(a, b):
     """
     if a == b:
         return 0
+    if len(a) > len(b):
+        a, b = b, a
     if not a:
         return len(b)
-    if not b:
-        return len(a)
-    # Keep only two rows of the DP matrix.
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(
-                min(
-                    previous[j] + 1,  # deletion of ca
-                    current[j - 1] + 1,  # insertion of cb
-                    previous[j - 1] + cost,  # substitution / match
-                )
-            )
-        previous = current
-    return previous[-1]
+    peq = {}
+    for i, element in enumerate(a):
+        peq[element] = peq.get(element, 0) | (1 << i)
+    distance = len(a)
+    mask = (1 << distance) - 1
+    last = 1 << (distance - 1)
+    vp, vn = mask, 0
+    for element in b:
+        eq = peq.get(element, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | (~(xh | vp) & mask)
+        hn = vp & xh
+        if hp & last:
+            distance += 1
+        elif hn & last:
+            distance -= 1
+        hp = ((hp << 1) | 1) & mask
+        hn = (hn << 1) & mask
+        vp = hn | (~(xv | hp) & mask)
+        vn = hp & xv
+    return distance
 
 
 def levenshtein_alignment(reference, hypothesis):
@@ -150,6 +168,9 @@ def damerau_levenshtein(a, b):
 def jaro(a, b):
     """Jaro similarity between two strings.
 
+    Each character of ``a`` claims the first unclaimed equal character
+    of ``b`` inside the match window; ``str.find`` does that search.
+
     >>> jaro("martha", "marhta") > 0.9
     True
     """
@@ -161,30 +182,23 @@ def jaro(a, b):
     window = max(la, lb) // 2 - 1
     if window < 0:
         window = 0
-    a_matched = [False] * la
     b_matched = [False] * lb
-    matches = 0
+    a_chars = []
     for i, ca in enumerate(a):
-        lo = max(0, i - window)
-        hi = min(lb, i + window + 1)
-        for j in range(lo, hi):
-            if not b_matched[j] and b[j] == ca:
-                a_matched[i] = True
-                b_matched[j] = True
-                matches += 1
-                break
+        hi = i + window + 1
+        j = b.find(ca, max(0, i - window), hi)
+        while j != -1 and b_matched[j]:
+            j = b.find(ca, j + 1, hi)
+        if j != -1:
+            b_matched[j] = True
+            a_chars.append(ca)
+    matches = len(a_chars)
     if matches == 0:
         return 0.0
-    transpositions = 0
-    j = 0
-    for i in range(la):
-        if a_matched[i]:
-            while not b_matched[j]:
-                j += 1
-            if a[i] != b[j]:
-                transpositions += 1
-            j += 1
-    transpositions //= 2
+    b_chars = [cb for cb, matched in zip(b, b_matched) if matched]
+    transpositions = sum(
+        ca != cb for ca, cb in zip(a_chars, b_chars)
+    ) // 2
     return (
         matches / la + matches / lb + (matches - transpositions) / matches
     ) / 3.0

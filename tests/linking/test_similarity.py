@@ -1,11 +1,15 @@
 """Tests for the per-attribute similarity measures."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.linking import similarity
 from repro.linking.similarity import (
     SimilarityRegistry,
+    _longest_common_substring,
     date_similarity,
     default_registry,
     digits_similarity,
@@ -15,6 +19,12 @@ from repro.linking.similarity import (
     string_similarity,
 )
 from repro.store.schema import AttributeType
+
+from tests.util.kernel_oracles import (
+    digits_similarity_dp,
+    kernel_cases,
+    longest_common_substring_dp,
+)
 
 
 class TestNameSimilarity:
@@ -121,3 +131,71 @@ class TestRegistry:
     def test_exact_similarity(self):
         assert exact_similarity("SUV", "suv") == 1.0
         assert exact_similarity("suv", "sedan") == 0.0
+
+
+def _digit_cases(seed=1099, count=300):
+    """Seeded (token, attribute) digit pairs: partial, garbled and
+    multi-valued numbers, as noisy recognition leaves them."""
+    rng = random.Random(seed)
+    cases = [("", "5558675309"), ("5", "5"), ("5", "6"),
+             ("555", "5558675309 5551234"), ("(555) 867-5309", "abc 12"),
+             ("0000", "00000000"), ("12121212", "21212121 1212")]
+    for _ in range(count):
+        number = "".join(rng.choice("0123456789")
+                         for _ in range(rng.choice([4, 7, 10, 16, 70])))
+        kept = list(number)
+        for _ in range(rng.randrange(4)):
+            if kept:
+                del kept[rng.randrange(len(kept))]
+        for _ in range(rng.randrange(3)):
+            if kept:
+                kept[rng.randrange(len(kept))] = rng.choice("0123456789")
+        parts = [number] + [
+            "".join(rng.choice("0123456789") for _ in range(10))
+            for _ in range(rng.randrange(3))
+        ]
+        rng.shuffle(parts)
+        cases.append(("".join(kept), " ".join(parts)))
+    return cases
+
+
+class TestKernelsMatchReference:
+    """Floor-bounded and memoised measures stay ``==`` the plain DPs."""
+
+    def test_longest_common_substring_every_floor(self):
+        for a, b in kernel_cases() + _digit_cases():
+            expected = longest_common_substring_dp(a, b)
+            for floor in range(min(len(a), len(b)) + 2):
+                assert _longest_common_substring(a, b, floor) == max(
+                    expected, floor
+                ), (a, b, floor)
+
+    def test_digits_similarity_matches_unbounded_reference(self):
+        for token, attribute in _digit_cases():
+            assert digits_similarity(token, attribute) == (
+                digits_similarity_dp(token, attribute)
+            ), (token, attribute)
+
+    def test_memoised_registry_scores_equal(self, monkeypatch):
+        # A tiny limit makes the memo tables empty themselves often.
+        monkeypatch.setattr(similarity, "MEMO_LIMIT", 3)
+        plain = default_registry()
+        memoised = plain.memoised()
+        rng = random.Random(3)
+        names = ["john smith", "jon smith", "mary walker", "smith",
+                 "o'neil", "", "anne marie smyth"]
+        pairs = [(AttributeType.NAME, rng.choice(names), rng.choice(names))
+                 for _ in range(300)]
+        pairs += [(AttributeType.PHONE, token, attribute)
+                  for token, attribute in _digit_cases(count=100)] * 2
+        for attr_type, token, attribute in pairs:
+            assert memoised.similarity(attr_type, token, attribute) == (
+                plain.similarity(attr_type, token, attribute)
+            ), (attr_type, token, attribute)
+
+    def test_memoised_copy_keeps_custom_measures(self):
+        custom = lambda a, b: 0.42  # noqa: E731
+        registry = default_registry().register(AttributeType.NAME, custom)
+        memoised = registry.memoised()
+        assert memoised.measure_for(AttributeType.NAME) is custom
+        assert memoised is not registry

@@ -1,5 +1,7 @@
 """QuerySpec parsing, canonicalization, and plan == batch identity."""
 
+import tracemalloc
+
 import pytest
 
 from repro.mining.assoc2d import associate
@@ -8,6 +10,7 @@ from repro.mining.olap import concept_cube
 from repro.mining.relfreq import relative_frequency
 from repro.mining.trends import emerging_concepts, trend_series
 from repro.serve import QueryError, QuerySpec, plan_query
+from repro.serve.queries import MAX_BUCKET_SPAN
 
 from tests.serve.corpus import make_pairs, reference_index
 
@@ -63,6 +66,40 @@ class TestParsing:
                 {"kind": "trends",
                  "key": ["field", "city", "boston"],
                  "filters": {"buckets": [4, 1]}}
+            )
+
+    @pytest.mark.parametrize("kind", ["trends", "emerging"])
+    def test_huge_bucket_span_rejected_before_expansion(self, kind):
+        """A [lo, hi] span past the cap fails without materialising it."""
+        payload = {"kind": kind, "filters": {"buckets": [0, 10**10]}}
+        if kind == "trends":
+            payload["key"] = ["field", "city", "boston"]
+        else:
+            payload["dimension"] = ["field", "city"]
+        tracemalloc.start()
+        try:
+            with pytest.raises(QueryError, match="buckets filter"):
+                QuerySpec.parse(payload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_bucket_span_at_the_cap_accepted(self):
+        """The widest allowed span still lowers to its full range."""
+        spec = QuerySpec.parse(
+            {"kind": "trends",
+             "key": ["field", "city", "boston"],
+             "filters": {"buckets": [5, 5 + MAX_BUCKET_SPAN - 1]}}
+        )
+        assert spec.param("buckets") == tuple(
+            range(5, 5 + MAX_BUCKET_SPAN)
+        )
+        with pytest.raises(QueryError, match="buckets filter"):
+            QuerySpec.parse(
+                {"kind": "trends",
+                 "key": ["field", "city", "boston"],
+                 "filters": {"buckets": [5, 5 + MAX_BUCKET_SPAN]}}
             )
 
     def test_cube_slice_and_rollup_exclusive(self):

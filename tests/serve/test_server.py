@@ -1,12 +1,15 @@
 """HTTP frontend vs in-process client: one API, two transports."""
 
+import http.client
 import json
+import socket
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.serve import InsightServer, LocalClient, QueryCache, QueryEngine
+from repro.serve.server import _Handler
 from repro.stream import EpochStore
 
 from tests.serve.corpus import make_consumer, make_pairs
@@ -103,6 +106,24 @@ class TestErrorMapping:
         assert status == 400
         assert "unknown query kind" in body["error"]
 
+    def test_huge_bucket_span_is_structured_400(self, engine, server):
+        """An unbounded buckets filter is refused, not expanded."""
+        status, body = _post(server, "/query", {
+            "kind": "trends",
+            "key": ["field", "city", "boston"],
+            "filters": {"buckets": [0, 10**10]},
+        })
+        assert status == 400
+        assert body["code"] == "bad-request"
+        assert "buckets filter" in body["error"]
+        # The server is still answering in-range queries afterwards.
+        status, body = _post(server, "/query", {
+            "kind": "trends",
+            "key": ["field", "city", "boston"],
+            "filters": {"buckets": [0, 3]},
+        })
+        assert status == 200
+
     def test_invalid_json_is_400(self, engine, server):
         """A non-JSON body is rejected before planning."""
         request = urllib.request.Request(
@@ -152,8 +173,6 @@ class TestErrorMapping:
         consuming the payload, so the upload may be cut off mid-write
         — the client must still find the 413 waiting.
         """
-        import http.client
-
         payload = json.dumps(
             {"kind": "status", "pad": "x" * (1 << 20)}
         ).encode("utf-8")
@@ -225,3 +244,38 @@ class TestShutdown:
         running = InsightServer(engine, port=0).start()
         running.stop()
         running.stop()
+
+
+class TestKeepAlive:
+    """Responses on a reused connection are not held back by Nagle."""
+
+    def test_reused_connection_has_nodelay(self, engine, monkeypatch):
+        """Ten requests share one connection whose socket is NODELAY."""
+        nodelay = []
+        original_setup = _Handler.setup
+
+        def recording_setup(handler):
+            original_setup(handler)
+            nodelay.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            ))
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        with InsightServer(engine, port=0) as server:
+            connection = http.client.HTTPConnection(
+                server.host, server.port, timeout=10
+            )
+            try:
+                for _ in range(10):
+                    connection.request(
+                        "POST", "/query",
+                        body=json.dumps({"kind": "status"}),
+                        headers={"Content-Type": "application/json"},
+                    )
+                    response = connection.getresponse()
+                    assert response.status == 200
+                    json.loads(response.read())
+            finally:
+                connection.close()
+        assert len(nodelay) == 1
+        assert nodelay[0] != 0

@@ -1,5 +1,7 @@
 """Stream sources: offsets, polling, seeking, replay logs."""
 
+import json
+
 import pytest
 
 from repro.engine import Document
@@ -85,6 +87,31 @@ class TestReplayLog:
         path.write_text(lines[1] + "\n")  # starts at offset 1: gap
         with pytest.raises(ValueError, match="expected offset 0"):
             ReplayLogSource(path)
+
+    def test_missing_field_names_path_line_and_field(self, tmp_path):
+        path = tmp_path / "stream.jsonl"
+        write_replay_log(path, [(0, _doc(i)) for i in range(3)])
+        lines = path.read_text().splitlines()
+        entry = json.loads(lines[1])
+        del entry["timestamp"]
+        lines[1] = json.dumps(entry)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as excinfo:
+            ReplayLogSource(path)
+        assert not isinstance(excinfo.value, KeyError)
+        assert f"{path}:2" in str(excinfo.value)
+        assert "missing field 'timestamp'" in str(excinfo.value)
+
+    def test_malformed_line_names_path_and_line(self, tmp_path):
+        path = tmp_path / "stream.jsonl"
+        write_replay_log(path, [(0, _doc(i)) for i in range(3)])
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2][: len(lines[2]) // 2]  # torn write
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as excinfo:
+            ReplayLogSource(path)
+        assert not isinstance(excinfo.value, json.JSONDecodeError)
+        assert f"{path}:3: invalid JSON" in str(excinfo.value)
 
     def test_unserialisable_artifacts_rejected(self, tmp_path):
         document = _doc(0, transcript=object())

@@ -1,5 +1,7 @@
 """Unit and property tests for string distances."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +15,14 @@ from repro.util.textdist import (
     levenshtein_alignment,
     levenshtein_similarity,
     qgrams,
+)
+
+from tests.util.kernel_oracles import (
+    jaro_scan,
+    jaro_winkler_scan,
+    kernel_cases,
+    levenshtein_dp,
+    levenshtein_similarity_dp,
 )
 
 short_text = st.text(
@@ -145,3 +155,54 @@ class TestQGrams:
     @given(short_text, short_text)
     def test_jaccard_bounds(self, a, b):
         assert 0.0 <= jaccard_qgrams(a, b) <= 1.0
+
+
+CASES = kernel_cases()
+
+
+class TestKernelsMatchReferenceDP:
+    """The fast kernels return exactly (``==``) the textbook values."""
+
+    def test_levenshtein_strings(self):
+        for a, b in CASES:
+            assert levenshtein(a, b) == levenshtein_dp(a, b), (a, b)
+            assert levenshtein(b, a) == levenshtein_dp(a, b), (a, b)
+
+    def test_levenshtein_token_lists(self):
+        rng = random.Random(7)
+        vocabulary = ["book", "a", "car", "the", "rental", "for", "me"]
+        pairs = [([], []), (["car"], []), (["car"], ["cat"]),
+                 (["car"], ["car"])]
+        for _ in range(200):
+            pairs.append((
+                [rng.choice(vocabulary) for _ in range(rng.randrange(90))],
+                [rng.choice(vocabulary) for _ in range(rng.randrange(90))],
+            ))
+        for ref, hyp in pairs:
+            assert levenshtein(ref, hyp) == levenshtein_dp(ref, hyp)
+            assert levenshtein(tuple(ref), tuple(hyp)) == levenshtein_dp(
+                ref, hyp
+            )
+
+    def test_levenshtein_similarity(self):
+        for a, b in CASES:
+            assert levenshtein_similarity(a, b) == (
+                levenshtein_similarity_dp(a, b)
+            ), (a, b)
+
+    def test_jaro(self):
+        for a, b in CASES:
+            assert jaro(a, b) == jaro_scan(a, b), (a, b)
+            assert jaro(b, a) == jaro_scan(b, a), (a, b)
+
+    def test_jaro_winkler(self):
+        for a, b in CASES:
+            assert jaro_winkler(a, b) == jaro_winkler_scan(a, b), (a, b)
+
+    def test_jaro_zero_window(self):
+        short = [a + b for a in "abc" for b in "abc"] + list("abc")
+        short += [a + b + c for a in "ab" for b in "ab" for c in "ab"]
+        for a in short:
+            for b in short:
+                assert max(len(a), len(b)) // 2 - 1 <= 0
+                assert jaro(a, b) == jaro_scan(a, b), (a, b)
