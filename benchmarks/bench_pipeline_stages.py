@@ -18,7 +18,7 @@ import pathlib
 import time
 
 from repro.core.usecases.churn import run_churn_study
-from repro.exec import BACKEND_KINDS
+from repro.exec import BACKEND_KINDS, make_backend
 from repro.util.tabletext import format_table
 
 OUTPUT_PATH = pathlib.Path("BENCH_pipeline.json")
@@ -33,9 +33,10 @@ def test_bench_pipeline_stage_timing(clean_study, telecom_corpus, smoke):
     backend_runs = {}
     for kind in BACKEND_KINDS:
         start = time.perf_counter()
-        result = run_churn_study(
-            telecom_corpus, channel="email", workers=2, backend=kind
-        )
+        with make_backend(kind, workers=2) as backend:
+            result = run_churn_study(
+                telecom_corpus, channel="email", backend=backend
+            )
         wall_s = time.perf_counter() - start
         report = result.stage_report
         assert report.total_in == churn_report.total_in

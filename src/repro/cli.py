@@ -22,11 +22,28 @@ the richer wrapper with format selection and a flame summary.
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=7,
                         help="corpus random seed")
+
+
+@contextmanager
+def _execution_backend(kind, workers):
+    """The backend behind ``--backend``/``--workers``, closed on exit.
+
+    ``None`` (inline execution) unless ``workers > 1``.  The command
+    owns the backend; the consumers and engines it builds borrow it.
+    """
+    if workers <= 1:
+        yield None
+        return
+    from repro.exec import make_backend
+
+    with make_backend(kind, workers=workers) as backend:
+        yield backend
 
 
 def _add_engine_options(parser):
@@ -196,10 +213,11 @@ def cmd_churn(args):
         TelecomConfig(scale=args.scale, n_customers=args.customers,
                       seed=args.seed)
     )
-    result = run_churn_study(
-        corpus, channel=args.channel, workers=args.workers,
-        shards=args.shards, backend=args.backend,
-    )
+    with _execution_backend(args.backend, args.workers) as backend:
+        result = run_churn_study(
+            corpus, channel=args.channel, shards=args.shards,
+            backend=backend,
+        )
     if args.stage_stats:
         print(result.stage_report.render_text())
         print()
@@ -254,12 +272,7 @@ def _build_carrental_stream(args):
             seed=args.seed,
         )
     )
-    system = BIVoCSystem(
-        BIVoCConfig(
-            use_asr=False, link_mode="content", workers=args.workers,
-            backend=args.backend,
-        )
-    )
+    system = BIVoCSystem(BIVoCConfig(use_asr=False, link_mode="content"))
     stages = system.build_call_stages(
         corpus,
         index_stage=ConceptIndexStage(
@@ -364,15 +377,16 @@ def cmd_stream(args):
     checkpointer = (
         Checkpointer(args.checkpoint) if args.checkpoint else None
     )
-    with StreamConsumer(
+    with _execution_backend(
+        args.backend, args.workers
+    ) as backend, StreamConsumer(
         source,
         stages,
         window=window,
         checkpointer=checkpointer,
         batch_docs=args.batch_docs,
         checkpoint_interval=args.checkpoint_interval,
-        workers=args.workers,
-        backend=args.backend,
+        backend=backend,
     ) as consumer:
         if checkpointer is not None and consumer.restore():
             print(
@@ -413,6 +427,16 @@ def cmd_stream(args):
 
 def cmd_serve(args):
     """Serve analytic queries over HTTP while a stream ingests."""
+    with _execution_backend(
+        args.backend, args.workers
+    ) as backend, _execution_backend(
+        args.backend, args.query_workers
+    ) as query_backend:
+        return _serve(args, backend, query_backend)
+
+
+def _serve(args, backend, query_backend):
+    """:func:`cmd_serve`'s body, on the command's two backends."""
     import json
     import os
     import signal
@@ -448,8 +472,7 @@ def cmd_serve(args):
         checkpointer=checkpointer,
         batch_docs=args.batch_docs,
         checkpoint_interval=args.checkpoint_interval,
-        workers=args.workers,
-        backend=args.backend,
+        backend=backend,
         epochs=epochs,
     )
     if checkpointer is not None and consumer.restore():
@@ -459,8 +482,7 @@ def cmd_serve(args):
         )
     engine = QueryEngine(
         epochs,
-        workers=args.query_workers,
-        backend=args.backend if args.query_workers > 1 else None,
+        backend=query_backend,
         cache=QueryCache(
             capacity=args.cache_capacity, ttl=args.cache_ttl
         ),
@@ -566,9 +588,10 @@ def cmd_chaos(args):
         print(json.dumps(plan.to_json_dict(), indent=2))
         return 0
 
-    def build_consumer(checkpointer):
+    def build_consumer(checkpointer, backend):
         # Rebuilt from scratch per (re)start: a crash loses every bit
-        # of in-memory state, so the resume path must too.
+        # of in-memory state, so the resume path must too.  The
+        # backend holds no stream state and is shared by every run.
         source, stages, _ = _build_carrental_stream(args)
         return StreamConsumer(
             source,
@@ -576,57 +599,49 @@ def cmd_chaos(args):
             checkpointer=checkpointer,
             batch_docs=args.batch_docs,
             checkpoint_interval=2,
-            workers=args.workers,
-            backend=args.backend,
+            backend=backend,
         )
-
-    with build_consumer(None) as reference:
-        reference.run(checkpoint_at_end=False)
-    expected = index_to_state(reference.index)
 
     retry = RetryPolicy(
         max_attempts=8, base_delay=0.0, max_delay=0.0, seed=args.seed
     )
     injector = plan.injector(sleep=lambda _delay: None)
     restarts = 0
-    with tempfile.TemporaryDirectory() as tmp:
+    with _execution_backend(
+        args.backend, args.workers
+    ) as backend, tempfile.TemporaryDirectory() as tmp:
+        reference = build_consumer(None, backend)
+        reference.run(checkpoint_at_end=False)
+        expected = index_to_state(reference.index)
         ck_path = os.path.join(tmp, "chaos-checkpoint.json")
         with injecting(injector):
             while True:
                 checkpointer = Checkpointer(
                     ck_path, retry=retry, sleep=lambda _delay: None
                 )
-                consumer = build_consumer(checkpointer)
-                # close() per (re)start: a crashed consumer must not
-                # leak its warm worker pool into the next incarnation.
+                consumer = build_consumer(checkpointer, backend)
                 try:
-                    try:
-                        consumer.restore()
-                    except CheckpointCorrupt:
-                        # Every copy corrupted: cold-start, the last
-                        # resort (at-least-once delivery makes it safe).
-                        checkpointer.clear()
-                        continue
-                    try:
-                        consumer.run()
-                        break
-                    except InjectedFault:
-                        restarts += 1
-                        if restarts > 50:
-                            print(
-                                "chaos: runaway restart loop "
-                                "(plan below)",
-                                file=sys.stderr,
-                            )
-                            print(
-                                json.dumps(
-                                    plan.to_json_dict(), indent=2
-                                ),
-                                file=sys.stderr,
-                            )
-                            return 1
-                finally:
-                    consumer.close()
+                    consumer.restore()
+                except CheckpointCorrupt:
+                    # Every copy corrupted: cold-start, the last
+                    # resort (at-least-once delivery makes it safe).
+                    checkpointer.clear()
+                    continue
+                try:
+                    consumer.run()
+                    break
+                except InjectedFault:
+                    restarts += 1
+                    if restarts > 50:
+                        print(
+                            "chaos: runaway restart loop (plan below)",
+                            file=sys.stderr,
+                        )
+                        print(
+                            json.dumps(plan.to_json_dict(), indent=2),
+                            file=sys.stderr,
+                        )
+                        return 1
 
     fired = {
         name: counts["fired"]

@@ -33,12 +33,11 @@ class BIVoCConfig:
     two_pass: bool = False
     two_pass_top_n: int = 5
     # Engine execution knobs: documents flow through the stage graph in
-    # batches of ``batch_size``; ``workers`` > 1 maps pure stages across
-    # the selected execution backend (bit-identical to serial on every
-    # backend — see repro.engine.runner and repro.exec).  ``backend``
-    # names the fan-out flavour ("serial" / "thread" / "process"); it
-    # only engages when ``workers`` > 1, and "serial" forces inline
-    # execution regardless of workers.
+    # batches of ``batch_size``.  With ``workers`` > 1,
+    # ``run_insight_analysis`` builds one backend of kind ``backend``
+    # ("serial" / "thread" / "process") and passes it to the pipeline
+    # and the analytics (bit-identical to serial on every backend — see
+    # repro.engine.runner and repro.exec).
     batch_size: int = 64
     workers: int = 0
     backend: str = "thread"

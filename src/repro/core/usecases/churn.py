@@ -344,16 +344,15 @@ def _channelled_messages(corpus, channel):
 def run_churn_study(corpus, channel="email", split_month=None,
                     classifier=None, undersample_ratio=6.0,
                     threshold=0.5, spell_correct=False,
-                    batch_size=64, workers=0, shards=None,
-                    backend=None):
+                    batch_size=64, shards=None, backend=None):
     """Run the churn study over one channel of a telecom corpus.
 
     ``split_month`` separates training history from the evaluation
-    month (defaults to the corpus's last month).  ``batch_size``,
-    ``workers`` and ``backend`` are the engine execution knobs
-    (parallel execution of pure stages is bit-identical to serial on
-    every backend; ``backend`` is a kind name sized by ``workers``, or
-    a ready :class:`~repro.exec.ExecBackend` instance).
+    month (defaults to the corpus's last month).  ``batch_size`` and
+    ``backend`` are the engine execution knobs: ``backend`` is a ready
+    :class:`~repro.exec.ExecBackend` (``None`` runs inline), and
+    parallel execution of pure stages is bit-identical to serial on
+    every backend.
 
     ``shards`` opts into the churn-driver concept index
     (:func:`build_driver_index_stages`): ``None`` (the default) skips
@@ -382,10 +381,9 @@ def run_churn_study(corpus, channel="email", split_month=None,
         )
         for index, (message_channel, message) in enumerate(channelled)
     ]
-    with PipelineRunner(
-        stages, batch_size=batch_size, workers=workers, backend=backend
-    ) as runner:
-        result = runner.run(documents)
+    result = PipelineRunner(
+        stages, batch_size=batch_size, backend=backend
+    ).run(documents)
 
     prepared = result.documents
     linked = [

@@ -17,12 +17,11 @@
   bit-identical to serial execution on every backend — the determinism
   guarantee every paper artifact relies on.
 
-The backend is resolved once at construction (``workers > 1`` builds
-the historical thread pool; ``backend=`` selects serial / thread /
-process by name or injects a ready instance; ``pool=`` adapts an
-external executor) and warm-reused across runs — worker spawn is paid
-once per runner, not once per run.  Close the runner (or use it as a
-context manager) to release an owned backend.
+The backend is one ready :class:`~repro.exec.ExecBackend` (or
+``None`` for inline execution) passed at construction and warm-reused
+across runs — worker spawn is paid once per backend, not once per
+run.  The runner only borrows it: whoever called
+:func:`~repro.exec.make_backend` closes it.
 
 On backends that pickle tasks across a process boundary, each batch
 ships inside a module-level :class:`_StageTask` envelope instead of a
@@ -49,7 +48,6 @@ bit-identical in outputs.
 import time
 from dataclasses import dataclass, field
 
-from repro.exec import resolve_backend
 from repro.obs import get_metrics, get_tracer
 
 
@@ -178,24 +176,16 @@ class PipelineRunner:
     """Executes a stage list over a document corpus.
 
     ``batch_size`` bounds the unit of work handed to each stage (and to
-    each worker); ``workers`` > 1 enables the historical thread pool
-    for pure stages, while ``backend`` selects an execution backend by
-    kind name (``"serial"`` / ``"thread"`` / ``"process"``, sized by
-    ``workers``) or injects a ready
-    :class:`~repro.exec.ExecBackend` instance.  ``clock`` is the timing
+    each worker); ``backend`` is a ready
+    :class:`~repro.exec.ExecBackend` across which pure stages fan out
+    (``None`` runs every stage inline).  ``clock`` is the timing
     source for per-stage wall time (defaults to the monotonic
     performance counter); it is used for reporting only and never
     influences the documents.
-
-    Executor knobs are mutually exclusive, matching
-    :class:`~repro.serve.engine.QueryEngine`: ``pool`` with
-    ``workers > 1``, ``pool`` with ``backend``, and a ready backend
-    instance with ``workers > 1`` all raise ``ValueError`` — two
-    requested executors never silently shadow each other.
     """
 
-    def __init__(self, stages, batch_size=64, workers=0, clock=None,
-                 tracer=None, metrics=None, pool=None, backend=None):
+    def __init__(self, stages, batch_size=64, clock=None, tracer=None,
+                 metrics=None, backend=None):
         """``stages`` is an ordered list of Stage instances.
 
         ``tracer``/``metrics`` override the ambient observability
@@ -203,19 +193,12 @@ class PipelineRunner:
         ambient slot at each run", which is how ``bivoc trace``
         reaches a runner built long before tracing was activated).
 
-        ``pool`` supplies an external executor for parallel stages:
-        the runner then never creates (or shuts down) its own, so one
-        pool can serve many runs — and the sharded analytics that
-        follow them.  ``backend`` (kind name or instance) is the
-        general form of the same knob.  The resolved backend is
-        created once here and warm-reused by every :meth:`run`; call
-        :meth:`close` (or use the runner as a context manager) to
-        release it when owned.
+        ``backend`` is borrowed: the runner never closes it, so one
+        backend can serve many runs — and the sharded analytics that
+        follow them.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
         names = [stage.stage_name for stage in stages]
         if len(set(names)) != len(names):
             raise ValueError(
@@ -223,26 +206,22 @@ class PipelineRunner:
             )
         self.stages = list(stages)
         self.batch_size = batch_size
-        self.workers = workers
         # Instrumentation-only clock (injectable; see module docstring).
         self._clock = clock if clock is not None else time.perf_counter
         self._tracer = tracer
         self._metrics = metrics
-        self._backend, self._owned_backend = resolve_backend(
-            pool=pool, backend=backend, workers=workers
-        )
+        self._backend = backend
 
     def close(self):
-        """Release the owned backend's workers (idempotent)."""
-        if self._owned_backend and self._backend is not None:
-            self._backend.close()
+        """Nothing to release: the backend is borrowed, not owned."""
+        return None
 
     def __enter__(self):
         """Context manager: the runner itself."""
         return self
 
     def __exit__(self, exc_type, exc_value, traceback):
-        """Context-manager exit always closes the owned backend."""
+        """Context-manager exit: :meth:`close`."""
         self.close()
         return False
 

@@ -8,29 +8,30 @@ The backends differ only in *where* tasks run (inline, a warm thread
 pool, a warm process pool); because every caller folds results in
 submission order, each backend is bit-identical to serial execution.
 
-See DESIGN.md §15 for the protocol, the pickling contract of the
-process backend and the merge-determinism argument.
+Every fan-out entry point takes one ``backend`` argument: a ready
+backend or ``None`` for inline execution.  Whoever calls
+:func:`make_backend` closes the backend; runners, engines and
+consumers only borrow it.  See DESIGN.md §15 for the protocol, the
+pickling contract of the process backend and the merge-determinism
+argument.
 """
 
 from repro.exec.backend import (
     BACKEND_KINDS,
     BackendError,
     ExecBackend,
-    PoolBackend,
     SerialBackend,
     ThreadBackend,
 )
-from repro.exec.factory import make_backend, resolve_backend
+from repro.exec.factory import make_backend
 from repro.exec.procpool import ProcessBackend
 
 __all__ = [
     "BACKEND_KINDS",
     "BackendError",
     "ExecBackend",
-    "PoolBackend",
     "ProcessBackend",
     "SerialBackend",
     "ThreadBackend",
     "make_backend",
-    "resolve_backend",
 ]

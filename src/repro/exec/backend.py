@@ -15,14 +15,10 @@ Implementations here stay inside one process:
   across ``map`` calls (worker warm-reuse: thread spawn is paid once
   per backend, not once per stage or per query).  ``workers <= 1``
   degrades to inline execution without ever spawning a pool.
-* :class:`PoolBackend` — adapter around a caller-owned executor; the
-  backend never shuts the wrapped pool down, so one external pool can
-  serve many runners and analytics (the historical ``pool=`` contract).
 
 The multiprocess implementation lives in :mod:`repro.exec.procpool`;
-the factories the engine, algebra and serving layers share
-(``make_backend`` / ``resolve_backend``) live in
-:mod:`repro.exec.factory`, above every concrete backend.
+the factory (``make_backend``) lives in :mod:`repro.exec.factory`,
+above every concrete backend.
 
 Observability is write-only: each fan-out records the backend kind,
 worker count and task/chunk counts on the ambient metrics registry and
@@ -164,36 +160,3 @@ class ThreadBackend(ExecBackend):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-
-
-class PoolBackend(ExecBackend):
-    """Adapter over a caller-owned executor (never shut down here).
-
-    Keeps the historical ``pool=`` injection contract: one external
-    executor serves many runners and analytics, and its lifecycle
-    belongs entirely to the caller.
-    """
-
-    kind = "pool"
-
-    def __init__(self, pool):
-        """``pool`` is any ``concurrent.futures`` executor."""
-        self.pool = pool
-
-    def effective_workers(self):
-        """The wrapped executor's width when it exposes one."""
-        return getattr(self.pool, "_max_workers", 0) or 0
-
-    def can_fan_out(self):
-        """An injected pool is always worth fanning out on."""
-        return True
-
-    def map(self, fn, *columns, label=None):
-        """Order-preserving map on the injected executor."""
-        made, count = _materialize(columns)
-        if count <= 1:
-            results = [fn(*args) for args in zip(*made)]
-        else:
-            results = list(self.pool.map(fn, *made))
-        self._record(count)
-        return results

@@ -1,4 +1,4 @@
-"""Backend factories shared by the engine, the algebra and serving.
+"""The backend factory the entry points' callers share.
 
 Lives above both :mod:`repro.exec.backend` (the protocol and the
 in-process implementations) and :mod:`repro.exec.procpool` (the
@@ -7,13 +7,7 @@ multiprocess implementation) so the module graph stays acyclic:
 backends must not know about the factory.
 """
 
-from repro.exec.backend import (
-    BACKEND_KINDS,
-    ExecBackend,
-    PoolBackend,
-    SerialBackend,
-    ThreadBackend,
-)
+from repro.exec.backend import BACKEND_KINDS, SerialBackend, ThreadBackend
 from repro.exec.procpool import ProcessBackend
 
 
@@ -22,7 +16,9 @@ def make_backend(kind, workers=0, chunk_size=None, mp_context=None):
 
     ``workers`` sizes the thread/process pools (values below 1 degrade
     to inline execution); ``chunk_size`` / ``mp_context`` are process-
-    backend knobs, rejected for the others.
+    backend knobs, rejected for the others.  The caller owns the
+    result and closes it (it is a context manager); the runners,
+    engines and analytics it is passed to only borrow it.
     """
     if kind not in BACKEND_KINDS:
         raise ValueError(
@@ -41,51 +37,4 @@ def make_backend(kind, workers=0, chunk_size=None, mp_context=None):
         return ThreadBackend(max(1, workers))
     return ProcessBackend(
         max(1, workers), chunk_size=chunk_size, mp_context=mp_context
-    )
-
-
-def resolve_backend(pool=None, backend=None, workers=0):
-    """The ``(backend, owned)`` pair for one caller's knob triple.
-
-    The shared resolution rule of the runner, the algebra and the
-    query engine: ``pool`` wraps into a :class:`PoolBackend`;
-    ``backend`` may be a kind name (combined with ``workers``) or a
-    ready :class:`~repro.exec.ExecBackend` instance; bare
-    ``workers > 1`` builds the historical thread pool.  Returns
-    ``(None, False)`` when everything stays serial — callers then skip
-    fan-out entirely.
-
-    ``owned`` is True when the caller constructed the backend here and
-    must :meth:`~repro.exec.ExecBackend.close` it; an injected
-    instance (and the executor under a ``pool``) stays the injector's
-    to manage.
-
-    Ambiguous knob pairs are rejected uniformly for every caller
-    (the runner, the algebra, the query engine): ``pool`` with
-    ``workers > 1``, ``pool`` with ``backend``, and a ready backend
-    instance with ``workers > 1`` all raise ``ValueError`` — there is
-    no silent precedence between two requested executors.
-    """
-    if pool is not None and backend is not None:
-        raise ValueError("pass either pool or backend, not both")
-    if pool is not None:
-        if workers > 1:
-            raise ValueError("pass either pool or workers, not both")
-        return PoolBackend(pool), True
-    if backend is None:
-        if workers > 1:
-            return ThreadBackend(workers), True
-        return None, False
-    if isinstance(backend, str):
-        return make_backend(backend, workers=workers), True
-    if isinstance(backend, ExecBackend):
-        if workers > 1:
-            raise ValueError(
-                "pass either a ready backend instance or workers, "
-                "not both (size the backend at construction)"
-            )
-        return backend, False
-    raise ValueError(
-        f"backend must be one of {list(BACKEND_KINDS)} or an "
-        f"ExecBackend instance, got {backend!r}"
     )

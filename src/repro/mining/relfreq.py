@@ -135,7 +135,7 @@ class RelativeFrequencyAggregate(PartialAggregate):
 
 
 def relative_frequency(index, focus_keys, candidate_dimension,
-                       min_focus_count=1, pool=None, backend=None):
+                       min_focus_count=1, backend=None):
     """Rank the concepts of a dimension by relative frequency.
 
     ``focus_keys`` select the focus subset (documents carrying *all* of
@@ -144,7 +144,7 @@ def relative_frequency(index, focus_keys, candidate_dimension,
     are ranked by how over-represented they are inside the subset.
 
     Runs through the partial-aggregate algebra: per shard on a sharded
-    index (optionally across ``pool`` or an execution ``backend``), as
+    index (optionally across an execution ``backend``), as
     one degenerate partial on a single index — bit-identical either
     way.
 
@@ -154,4 +154,4 @@ def relative_frequency(index, focus_keys, candidate_dimension,
     aggregate = RelativeFrequencyAggregate(
         focus_keys, candidate_dimension, min_focus_count=min_focus_count
     )
-    return compute(aggregate, index, pool=pool, backend=backend)
+    return compute(aggregate, index, backend=backend)

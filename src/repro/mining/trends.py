@@ -132,7 +132,7 @@ class EmergingConceptsAggregate(PartialAggregate):
         return results
 
 
-def trend_series(index, key, buckets=None, pool=None, backend=None):
+def trend_series(index, key, buckets=None, backend=None):
     """Occurrences of ``key`` per time bucket.
 
     Documents indexed without a timestamp are skipped.  Returns a list
@@ -143,17 +143,16 @@ def trend_series(index, key, buckets=None, pool=None, backend=None):
     periods are reported as zeros rather than silently dropped.
 
     Runs through the partial-aggregate algebra (per shard on a sharded
-    index, optionally across ``pool`` or an execution ``backend``) —
-    bit-identical to the single-index computation.
+    index, optionally across an execution ``backend``) — bit-identical
+    to the single-index computation.
     """
     return compute(
-        TrendSeriesAggregate(key, buckets=buckets), index, pool=pool,
-        backend=backend,
+        TrendSeriesAggregate(key, buckets=buckets), index, backend=backend
     )
 
 
 def emerging_concepts(index, dimension, buckets=None, min_total=3,
-                      pool=None, backend=None):
+                      backend=None):
     """Concepts of a dimension ranked by rising trend.
 
     Returns ``(key, slope, total)`` tuples, steepest rise first —
@@ -162,13 +161,13 @@ def emerging_concepts(index, dimension, buckets=None, min_total=3,
     occurrences are dropped (their slopes are noise).
 
     Runs through the partial-aggregate algebra (per shard on a sharded
-    index, optionally across ``pool`` or an execution ``backend``) —
-    bit-identical to the single-index computation.
+    index, optionally across an execution ``backend``) — bit-identical
+    to the single-index computation.
     """
     aggregate = EmergingConceptsAggregate(
         dimension, buckets=buckets, min_total=min_total
     )
-    return compute(aggregate, index, pool=pool, backend=backend)
+    return compute(aggregate, index, backend=backend)
 
 
 def trend_slope(series):

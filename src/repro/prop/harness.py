@@ -261,10 +261,9 @@ def run_batch(case, kind=None, shards=0):
     )
     try:
         stages = build_stages(shards)
-        with PipelineRunner(
+        PipelineRunner(
             stages, batch_size=case.batch_size, backend=backend
-        ) as runner:
-            runner.run(make_documents(case))
+        ).run(make_documents(case))
         return run_analytics(case, stages[-1].index, backend=backend)
     finally:
         if backend is not None:
@@ -292,12 +291,13 @@ class _CrashOnce:
             raise _PropCrash(f"injected crash at commit {self.commits}")
 
 
-def _build_consumer(case, checkpoint_path=None, crash_after=None):
+def _build_consumer(case, backend, checkpoint_path=None,
+                    crash_after=None):
     """A fresh streaming consumer over ``case``'s corpus.
 
     Arrival order is (time bucket, generation order) — deterministic,
     so the crashed, resumed and uninterrupted runs all see the same
-    stream.
+    stream.  ``backend`` is borrowed from the caller.
     """
     documents = make_documents(case)
     records = sorted(
@@ -312,8 +312,7 @@ def _build_consumer(case, checkpoint_path=None, crash_after=None):
         ),
         batch_docs=case.batch_docs,
         checkpoint_interval=case.checkpoint_interval,
-        workers=case.workers,
-        backend=case.backend,
+        backend=backend,
         failpoint=(
             _CrashOnce(crash_after) if crash_after is not None else None
         ),
@@ -322,7 +321,8 @@ def _build_consumer(case, checkpoint_path=None, crash_after=None):
 
 def run_stream_reference(case):
     """Final index state of the uninterrupted streaming run."""
-    with _build_consumer(case) as consumer:
+    with make_backend(case.backend, workers=case.workers) as backend:
+        consumer = _build_consumer(case, backend)
         consumer.run()
         return index_to_state(consumer.index)
 
@@ -330,14 +330,15 @@ def run_stream_reference(case):
 def run_stream_resumed(case, tmpdir):
     """Final index state after an injected crash and a cold resume."""
     checkpoint_path = os.path.join(tmpdir, "prop-checkpoint.json")
-    with _build_consumer(
-        case, checkpoint_path, crash_after=case.crash_after
-    ) as crashed:
+    with make_backend(case.backend, workers=case.workers) as backend:
+        crashed = _build_consumer(
+            case, backend, checkpoint_path, crash_after=case.crash_after
+        )
         try:
             crashed.run()
         except _PropCrash:
             pass  # scheduled death; resume from the checkpoint below
-    with _build_consumer(case, checkpoint_path) as resumed:
+        resumed = _build_consumer(case, backend, checkpoint_path)
         resumed.restore()
         resumed.run()
         return index_to_state(resumed.index)

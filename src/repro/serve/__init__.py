@@ -16,8 +16,9 @@ bit-identical to the batch computations:
   entry by construction and a cached result can never be stale;
 * :mod:`~repro.serve.engine` — :class:`QueryEngine`, executing specs
   against the current :class:`~repro.stream.epoch.EpochStore` snapshot
-  on a hoisted thread pool, with ``query:*`` spans and latency/cache
-  metrics (write-only: cached == uncached == untraced) — plus the
+  on an optional borrowed execution backend, with ``query:*`` spans
+  and latency/cache metrics (write-only: cached == uncached ==
+  untraced) — plus the
   resilience hooks: retries with deadlines around execution, and
   per-kind circuit breakers that degrade to last-good answers
   (marked ``degraded``) instead of failing outright;

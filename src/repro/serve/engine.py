@@ -10,9 +10,9 @@ committed offset.
 
 Execution reuses the partial-aggregate machinery verbatim: the engine
 hands :func:`~repro.serve.queries.plan_query` the snapshot plus its
-hoisted thread pool, exactly the arguments a batch caller would pass,
-which is what makes the served ``==`` bit-identity contract hold by
-construction rather than by testing luck.
+borrowed execution backend, exactly the arguments a batch caller
+would pass, which is what makes the served ``==`` bit-identity
+contract hold by construction rather than by testing luck.
 
 The engine is also where the resilience layer meets serving:
 
@@ -42,7 +42,6 @@ import time
 from dataclasses import dataclass
 from threading import Lock
 
-from repro.exec import resolve_backend
 from repro.faults import BreakerOpen, Deadline, call_with_retry, fault_point
 from repro.obs import get_metrics, get_tracer
 from repro.serve.queries import CACHEABLE_KINDS, QueryError, QuerySpec, plan_query
@@ -76,16 +75,10 @@ class QueryEngine:
     """Plans declarative specs onto the current epoch snapshot.
 
     ``epochs`` is the :class:`~repro.stream.epoch.EpochStore` the
-    ingesting consumer publishes into.  ``workers`` > 1 hoists one
-    owned execution backend reused by every query (per-query pools
-    would pay worker spawn on the hot path); ``backend`` selects its
-    flavour by kind name (``"serial"`` / ``"thread"`` / ``"process"``)
-    or injects a ready :class:`~repro.exec.ExecBackend`; alternatively
-    ``pool`` injects a shared external executor, which the engine does
-    not own and will not shut down.  The knobs are mutually exclusive
-    (``pool`` with ``workers > 1``, ``pool`` with ``backend``, and a
-    backend instance with ``workers > 1`` all raise ``ValueError``,
-    matching :class:`~repro.engine.PipelineRunner`).  ``cache``
+    ingesting consumer publishes into.  ``backend`` is a ready
+    :class:`~repro.exec.ExecBackend` reused by every query's per-shard
+    partials (``None`` runs them inline); the engine borrows it, and
+    whoever built it closes it.  ``cache``
     is an optional :class:`~repro.serve.cache.QueryCache`; the engine
     evicts entries below the current epoch whenever it observes an
     advance.  ``clock`` injects the latency time source (defaults to
@@ -98,14 +91,14 @@ class QueryEngine:
     ``breakers`` is an optional
     :class:`~repro.faults.breaker.BreakerBoard` keyed by query kind.
 
-    Thread-safe: concurrent ``query()`` calls share the pool, the
+    Thread-safe: concurrent ``query()`` calls share the backend, the
     cache, the breakers, the last-good store and the epoch store, each
     of which carries its own lock.
     """
 
-    def __init__(self, epochs, pool=None, workers=0, backend=None,
-                 cache=None, clock=None, retry=None, retry_sleep=None,
-                 deadline_ms=None, breakers=None):
+    def __init__(self, epochs, backend=None, cache=None, clock=None,
+                 retry=None, retry_sleep=None, deadline_ms=None,
+                 breakers=None):
         """See the class docstring for the knobs."""
         if deadline_ms is not None and deadline_ms <= 0:
             raise ValueError(
@@ -118,9 +111,7 @@ class QueryEngine:
         self.breakers = breakers
         self._retry_sleep = retry_sleep
         self._clock = clock if clock is not None else time.perf_counter
-        self._backend, self._owned_backend = resolve_backend(
-            pool=pool, backend=backend, workers=workers
-        )
+        self._backend = backend
         self._purge_lock = Lock()
         self._purged_below = None  # highest epoch we evicted below
         self._last_good_lock = Lock()
@@ -284,14 +275,9 @@ class QueryEngine:
         body["cache"] = (
             None if self.cache is None else self.cache.stats()
         )
-        # Width of the engine-owned fan-out only: an injected pool (or
-        # backend instance) belongs to the caller and reports 0 here,
-        # matching the historical owned-pool semantics.
         body["workers"] = (
             self._backend.effective_workers()
-            if self._owned_backend
-            and self._backend is not None
-            and self._backend.kind != "pool"
+            if self._backend is not None
             else 0
         )
         body["backend"] = (
@@ -303,16 +289,14 @@ class QueryEngine:
         return body
 
     def close(self):
-        """Shut down the owned backend (no-op for injected executors)."""
-        if self._owned_backend and self._backend is not None:
-            self._backend.close()
-            self._backend = None
+        """Nothing to release: the backend is borrowed, not owned."""
+        return None
 
     def __enter__(self):
         """Context manager: the engine itself."""
         return self
 
     def __exit__(self, exc_type, exc_value, traceback):
-        """Context manager exit: close the owned backend."""
+        """Context manager exit: :meth:`close`."""
         self.close()
         return False

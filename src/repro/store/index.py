@@ -14,7 +14,10 @@ cover the attribute types:
   (similar-sounding substitutions keep the Soundex block).
 
 All indexes share the same tiny interface: ``add(entity_id, value)`` and
-``candidates(query, limit)`` returning entity ids, best first.
+``candidates(query, limit)`` returning entity ids, best first.  Query
+grams and codes are counted in first-occurrence order, never in
+``set`` order, so ``most_common`` tie-breaks (and the linking work
+downstream) do not depend on ``PYTHONHASHSEED``.
 """
 
 from collections import Counter, defaultdict
@@ -102,7 +105,7 @@ class QGramIndex:
     def candidates(self, query, limit=50):
         """Candidate entity ids for a query value, best first."""
         counts = Counter()
-        for gram in set(self._grams(query)):
+        for gram in dict.fromkeys(self._grams(query)):
             counts.update(self._postings.get(gram, ()))
         return [entity_id for entity_id, _ in counts.most_common(limit)]
 
@@ -125,7 +128,9 @@ class SoundexIndex:
 
     @staticmethod
     def _codes(value):
-        return {soundex(token) for token in value.split() if token}
+        return dict.fromkeys(
+            soundex(token) for token in value.split() if token
+        )
 
     def add(self, entity_id, value):
         """Index one (entity_id, value) pair."""

@@ -11,9 +11,10 @@ Section IV-D).  This subsystem turns the one-shot stage graphs of
 * :mod:`~repro.stream.consumer` — a micro-batching
   :class:`StreamConsumer` with bounded-queue backpressure and
   at-least-once, idempotent delivery;
-* :mod:`~repro.stream.window` — :class:`WindowedAnalytics`, sliding-
-  window relative-frequency / association / trend snapshots maintained
-  by delta updates yet bit-identical to the batch mining functions;
+* :mod:`~repro.stream.window` — :class:`WindowedAnalytics`, an
+  evicting index over the last few time buckets whose relative-
+  frequency / association / trend snapshots are the batch mining
+  functions run on it;
 * :mod:`~repro.stream.checkpoint` — atomic, checksummed JSON
   checkpoints of offset + index + window (with fallback to the
   previous good copy on corruption) so a killed consumer resumes

@@ -137,17 +137,16 @@ class StreamConsumer:
 
     def __init__(self, source, stages, window=None, checkpointer=None,
                  batch_docs=32, queue_capacity=4, checkpoint_interval=4,
-                 runner_batch_size=64, workers=0, backend=None,
+                 runner_batch_size=64, backend=None,
                  clock=None, failpoint=None, tracer=None, metrics=None,
                  epochs=None):
         """Wire the consumer; raises on an unsafe index stage.
 
-        ``workers`` / ``backend`` are the embedded runner's execution
-        knobs (see :class:`~repro.engine.PipelineRunner`): pure stages
-        fan out across the resolved backend, bit-identical to serial,
-        and the backend stays warm across micro-batches.  Call
-        :meth:`close` (or use the consumer as a context manager) to
-        release its workers.
+        ``backend`` is the embedded runner's ready execution backend
+        (see :class:`~repro.engine.PipelineRunner`; ``None`` runs
+        inline): pure stages fan out across it, bit-identical to
+        serial, and it stays warm across micro-batches.  The consumer
+        borrows it; whoever built it closes it.
 
         ``tracer``/``metrics`` override the ambient observability
         collectors (``None`` resolves the ambient slot per step, so an
@@ -196,9 +195,8 @@ class StreamConsumer:
         self._metrics = metrics
         self.epochs = epochs
         self._runner = PipelineRunner(
-            stages, batch_size=runner_batch_size, workers=workers,
-            backend=backend, clock=self._clock, tracer=tracer,
-            metrics=metrics,
+            stages, batch_size=runner_batch_size, backend=backend,
+            clock=self._clock, tracer=tracer, metrics=metrics,
         )
         self._queue = deque()
         self._committed_offset = -1
@@ -371,20 +369,15 @@ class StreamConsumer:
         return self.report
 
     def close(self):
-        """Release the embedded runner's backend workers (idempotent).
-
-        Matters for chaos-style restart loops, which build a fresh
-        consumer per restart: without closing, every incarnation would
-        strand a warm pool.
-        """
-        self._runner.close()
+        """Nothing to release: the backend is borrowed, not owned."""
+        return None
 
     def __enter__(self):
         """Context manager: the consumer itself."""
         return self
 
     def __exit__(self, exc_type, exc_value, traceback):
-        """Context-manager exit always closes the runner's backend."""
+        """Context-manager exit: :meth:`close`."""
         self.close()
         return False
 
@@ -480,16 +473,17 @@ class StreamConsumer:
             state["index"],
             shards=shard_count_of(self._index_stage.index),
         )
-        self._index_stage.index = restored_index
+        # Validate everything before the first assignment: a rejected
+        # checkpoint must leave the consumer exactly as it was.
         if self.window is not None:
             if state["window"] is None:
                 raise ValueError(
                     "checkpoint carries no window state but the "
                     "consumer is configured with windowed analytics"
                 )
-            self.window.restore_state(state["window"])
+            self.window.check_state(state["window"])
         saved = state["report"]
-        self.report = StreamReport(
+        report = StreamReport(
             polled=saved["polled"],
             batches=saved["batches"],
             processed=saved["processed"],
@@ -501,6 +495,10 @@ class StreamConsumer:
             wall_time=saved["wall_time_s"],
             last_offset=saved["last_offset"],
         )
+        self._index_stage.index = restored_index
+        if self.window is not None:
+            self.window.restore_state(state["window"])
+        self.report = report
         self._committed_offset = state["offset"]
         self._since_checkpoint = 0
         self._queue.clear()

@@ -1,41 +1,32 @@
-"""Sliding-window analytics maintained by delta updates.
+"""Sliding-window analytics: an evicting index plus the batch analytics.
 
-The batch mining functions (:mod:`repro.mining.relfreq`,
-:mod:`repro.mining.assoc2d`, :mod:`repro.mining.trends`) rescan
-posting lists on every call — fine for a one-shot study, wasteful for
-a stream where "the increase and decrease of occurrences of each
-concept in a certain period" (paper Section IV-D) must be available
-after every micro-batch.  :class:`WindowedAnalytics` keeps the last
+"The increase and decrease of occurrences of each concept in a certain
+period" (paper Section IV-D) must be available after every
+micro-batch.  :class:`WindowedAnalytics` keeps the last
 ``window_buckets`` integer time buckets of documents in a
-window-scoped :class:`~repro.mining.index.ConceptIndex` and maintains
-every counter the registered analyses need *incrementally*: each
-ingest or evict applies a ±1 delta to
-
-* per-``(key, bucket)`` occurrence counts (trend series),
-* per-cell co-occurrence counts for each registered
-  :class:`AssocSpec` (2-D association),
-* focus-subset totals and per-candidate intersection counts for each
-  registered :class:`RelFreqSpec` (relative frequency).
-
-Snapshot methods then assemble results from those counters with the
-*same* arithmetic, result types and sort orders as the batch
-functions, so a snapshot is bit-identical to running the batch
-function over an index holding exactly the window's documents — the
-equivalence the test suite asserts.
+window-scoped :class:`~repro.mining.index.ConceptIndex` — ingest adds a
+document, an advancing maximum bucket evicts every bucket below the
+floor — and each snapshot is one call to the batch analytic
+(:func:`~repro.mining.trends.trend_series`,
+:func:`~repro.mining.trends.emerging_concepts`,
+:func:`~repro.mining.assoc2d.associate`,
+:func:`~repro.mining.relfreq.relative_frequency`) on that index.  A
+windowed view is therefore the same analytics over a smaller fact
+set: bit-identical to the batch function over exactly the window's
+documents by construction, with one implementation to maintain.
 """
 
 from dataclasses import dataclass
 
-from repro.mining.assoc2d import AssociationCell, AssociationTable
+from repro.mining.assoc2d import associate
 from repro.mining.index import ConceptIndex
-from repro.mining.relfreq import RelevancyResult
-from repro.mining.trends import observed_bucket_range, trend_slope
-from repro.util.intervals import lift_lower_bound, lift_point_estimate
+from repro.mining.relfreq import relative_frequency
+from repro.mining.trends import emerging_concepts, trend_series
 
 
 @dataclass(frozen=True)
 class AssocSpec:
-    """A registered 2-D association kept incrementally up to date.
+    """A registered 2-D association snapshotted over the window.
 
     Dimensions follow the batch convention: ``("concept", category)``
     or ``("field", name)``.
@@ -49,7 +40,7 @@ class AssocSpec:
 
 @dataclass(frozen=True)
 class RelFreqSpec:
-    """A registered relative-frequency query kept incrementally.
+    """A registered relative-frequency query snapshotted over the window.
 
     ``focus_keys`` is a tuple of full concept keys selecting the focus
     subset (documents carrying *all* of them); ``candidate_dimension``
@@ -81,7 +72,7 @@ def _normalise_relfreq(spec):
 
 
 class WindowedAnalytics:
-    """A sliding window of documents with delta-maintained analytics.
+    """A sliding window of documents with batch-analytic snapshots.
 
     ``window_buckets`` is the window width in integer time buckets:
     after a document with bucket ``t`` arrives, only documents with
@@ -90,14 +81,14 @@ class WindowedAnalytics:
     ingested — so window state never depends on arrival order beyond
     the in-window upsert semantics.
 
-    Re-ingesting a live ``doc_id`` replaces it (deltas for the old
-    keys are reversed first), mirroring the at-least-once/idempotent
-    contract of the stream consumer.
+    Re-ingesting a live ``doc_id`` replaces it (the old entry is
+    dropped first), mirroring the at-least-once/idempotent contract of
+    the stream consumer.
     """
 
     def __init__(self, window_buckets, assoc_specs=(), relfreq_specs=(),
                  keep_documents=False):
-        """Register the analyses to maintain over the window."""
+        """Register the analyses to snapshot over the window."""
         if window_buckets < 1:
             raise ValueError("window_buckets must be >= 1")
         self.window_buckets = int(window_buckets)
@@ -113,10 +104,6 @@ class WindowedAnalytics:
         self._max_bucket = None
         self.late_dropped = 0
         self.evicted = 0
-        self._key_buckets = {}  # key -> {bucket: count}
-        self._pair_counts = [{} for _ in self.assoc_specs]
-        self._focus_totals = [0 for _ in self.relfreq_specs]
-        self._focus_counts = [{} for _ in self.relfreq_specs]
 
     # ------------------------------------------------------------------
     # ingest / evict
@@ -147,17 +134,14 @@ class WindowedAnalytics:
             on_duplicate="raise",
         )
         self._by_bucket.setdefault(timestamp, []).append(doc_id)
-        self._apply(keys, timestamp, +1)
         if self._max_bucket is None or timestamp > self._max_bucket:
             self._max_bucket = timestamp
             self._evict_below(self.window_floor)
         return True
 
     def _forget(self, doc_id):
-        """Reverse one live document's deltas and drop it everywhere."""
-        keys = self._index.keys_of(doc_id)
+        """Drop one live document from its bucket and the index."""
         timestamp = self._index.timestamp_of(doc_id)
-        self._apply(keys, timestamp, -1)
         self._by_bucket[timestamp].remove(doc_id)
         if not self._by_bucket[timestamp]:
             del self._by_bucket[timestamp]
@@ -170,42 +154,6 @@ class WindowedAnalytics:
             for doc_id in list(self._by_bucket[bucket]):
                 self._forget(doc_id)
                 self.evicted += 1
-
-    def _apply(self, keys, timestamp, sign):
-        """Apply one document's ±1 deltas to every counter."""
-        for key in keys:
-            buckets = self._key_buckets.setdefault(key, {})
-            buckets[timestamp] = buckets.get(timestamp, 0) + sign
-            if buckets[timestamp] == 0:
-                del buckets[timestamp]
-                if not buckets:
-                    del self._key_buckets[key]
-        for spec, pairs in zip(self.assoc_specs, self._pair_counts):
-            row_values = [
-                key[2] for key in keys if key[:2] == spec.row_dimension
-            ]
-            col_values = [
-                key[2] for key in keys if key[:2] == spec.col_dimension
-            ]
-            for row_value in row_values:
-                for col_value in col_values:
-                    cell = (row_value, col_value)
-                    pairs[cell] = pairs.get(cell, 0) + sign
-                    if pairs[cell] == 0:
-                        del pairs[cell]
-        for position, spec in enumerate(self.relfreq_specs):
-            if not all(key in keys for key in spec.focus_keys):
-                continue
-            self._focus_totals[position] += sign
-            counts = self._focus_counts[position]
-            for key in keys:
-                if (
-                    key[:2] == spec.candidate_dimension
-                    and key not in spec.focus_keys
-                ):
-                    counts[key] = counts.get(key, 0) + sign
-                    if counts[key] == 0:
-                        del counts[key]
 
     # ------------------------------------------------------------------
     # window state
@@ -237,122 +185,51 @@ class WindowedAnalytics:
         return len(self._index)
 
     # ------------------------------------------------------------------
-    # snapshots (bit-identical to the batch mining functions)
+    # snapshots: the batch mining functions on the window's index
     # ------------------------------------------------------------------
 
     def trend_snapshot(self, key, buckets=None):
         """``(bucket, count)`` series for ``key`` over the window.
 
-        Matches :func:`repro.mining.trends.trend_series` on an index
-        holding exactly the window's documents, including the
-        zero-filled observed bucket range when ``buckets`` is None.
+        :func:`repro.mining.trends.trend_series` on the window's index.
         """
-        counts = self._key_buckets.get(tuple(key), {})
-        if buckets is None:
-            buckets = observed_bucket_range(counts)
-        return [(bucket, counts.get(bucket, 0)) for bucket in buckets]
+        return trend_series(self._index, key, buckets=buckets)
 
     def emerging_snapshot(self, dimension, buckets=None, min_total=3):
         """Rising concepts of a dimension, steepest slope first.
 
-        Matches :func:`repro.mining.trends.emerging_concepts` over the
-        window's documents.
+        :func:`repro.mining.trends.emerging_concepts` on the window's
+        index.
         """
-        results = []
-        for key in self._index.keys_of_dimension(dimension):
-            series = self.trend_snapshot(key, buckets=buckets)
-            total = sum(count for _, count in series)
-            if total < min_total:
-                continue
-            results.append((key, trend_slope(series), total))
-        results.sort(key=lambda item: (-item[1], item[0]))
-        return results
+        return emerging_concepts(
+            self._index, dimension, buckets=buckets, min_total=min_total
+        )
 
     def assoc_snapshot(self, spec_index=0):
         """The registered association's table over the window.
 
-        Matches :func:`repro.mining.assoc2d.associate` over the
-        window's documents (same cells, same interval-bounded
-        strengths, same drill-down), built from the maintained pair
-        counters instead of posting-list intersections.
+        :func:`repro.mining.assoc2d.associate` on the window's index.
         """
         spec = self.assoc_specs[spec_index]
-        pairs = self._pair_counts[spec_index]
-        grand_total = len(self._index)
-        if grand_total == 0:
+        if not len(self._index):
             raise ValueError("cannot analyse an empty window")
-        row_values = self._index.values_of_dimension(spec.row_dimension)
-        col_values = self._index.values_of_dimension(spec.col_dimension)
-        row_totals = {
-            value: self._index.count(spec.row_dimension + (value,))
-            for value in row_values
-        }
-        col_totals = {
-            value: self._index.count(spec.col_dimension + (value,))
-            for value in col_values
-        }
-        cells = {}
-        for row_value in row_values:
-            for col_value in col_values:
-                count = pairs.get((row_value, col_value), 0)
-                strength = lift_lower_bound(
-                    count,
-                    row_totals[row_value],
-                    col_totals[col_value],
-                    grand_total,
-                    confidence=spec.confidence,
-                    method=spec.interval_method,
-                )
-                point = lift_point_estimate(
-                    count,
-                    row_totals[row_value],
-                    col_totals[col_value],
-                    grand_total,
-                )
-                cells[(row_value, col_value)] = AssociationCell(
-                    row_value=row_value,
-                    col_value=col_value,
-                    count=count,
-                    row_total=row_totals[row_value],
-                    col_total=col_totals[col_value],
-                    grand_total=grand_total,
-                    strength=strength,
-                    point_lift=point,
-                )
-        return AssociationTable(
+        return associate(
             self._index, spec.row_dimension, spec.col_dimension,
-            cells, row_values, col_values,
+            confidence=spec.confidence,
+            interval_method=spec.interval_method,
         )
 
     def relfreq_snapshot(self, spec_index=0):
         """The registered relevancy ranking over the window.
 
-        Matches :func:`repro.mining.relfreq.relative_frequency` over
-        the window's documents, built from the maintained focus
-        counters.
+        :func:`repro.mining.relfreq.relative_frequency` on the window's
+        index.
         """
         spec = self.relfreq_specs[spec_index]
-        focus_total = self._focus_totals[spec_index]
-        focus_counts = self._focus_counts[spec_index]
-        overall_total = len(self._index)
-        results = []
-        for key in self._index.keys_of_dimension(spec.candidate_dimension):
-            if key in spec.focus_keys:
-                continue
-            focus_count = focus_counts.get(key, 0)
-            if focus_count < spec.min_focus_count:
-                continue
-            results.append(
-                RelevancyResult(
-                    key=key,
-                    focus_count=focus_count,
-                    focus_total=focus_total,
-                    overall_count=self._index.count(key),
-                    overall_total=overall_total,
-                )
-            )
-        results.sort(key=lambda r: (-r.relative_frequency, r.key))
-        return results
+        return relative_frequency(
+            self._index, spec.focus_keys, spec.candidate_dimension,
+            min_focus_count=spec.min_focus_count,
+        )
 
     # ------------------------------------------------------------------
     # checkpoint round trip
@@ -361,10 +238,10 @@ class WindowedAnalytics:
     def to_state(self):
         """JSON-safe snapshot of the window's documents and cursor.
 
-        Counters are *not* serialised: they are a pure function of the
+        Only documents and cursor counters are serialised: the
+        window's index and bucket lists are a pure function of the
         surviving documents replayed in insertion order, so
-        :meth:`restore_state` rebuilds them exactly — smaller
-        checkpoints, no drift between the two representations.
+        :meth:`restore_state` rebuilds them exactly.
         """
         docs = []
         for doc_id in self._index.document_ids:
@@ -386,12 +263,11 @@ class WindowedAnalytics:
             "documents": docs,
         }
 
-    def restore_state(self, state):
-        """Rebuild the window from a :meth:`to_state` snapshot.
+    def check_state(self, state):
+        """Raise ``ValueError`` if ``state`` cannot restore this window.
 
-        Documents are re-ingested in their original insertion order,
-        which reproduces every counter bit-for-bit (ingests and evicts
-        of departed documents cancelled exactly in the live run).
+        Touches nothing, so a caller can validate before it mutates
+        any of its own state.
         """
         if state["window_buckets"] != self.window_buckets:
             raise ValueError(
@@ -399,6 +275,14 @@ class WindowedAnalytics:
                 f"buckets, consumer is configured for "
                 f"{self.window_buckets}"
             )
+
+    def restore_state(self, state):
+        """Rebuild the window from a :meth:`to_state` snapshot.
+
+        Documents are re-ingested in their original insertion order,
+        which reproduces the window's index and buckets exactly.
+        """
+        self.check_state(state)
         self._reset()
         for entry in state["documents"]:
             self.ingest(

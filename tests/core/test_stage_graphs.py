@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.config import BIVoCConfig
 from repro.core.pipeline import BIVoCSystem
+from repro.exec import ThreadBackend
 from repro.core.usecases.churn import (
     link_evidence_text,
     run_churn_study,
@@ -86,14 +87,14 @@ class TestCallCenterStageGraph:
         serial = BIVoCSystem(
             BIVoCConfig(use_asr=False, link_mode="content")
         ).process_call_center(car_corpus)
-        parallel = BIVoCSystem(
-            BIVoCConfig(
-                use_asr=False,
-                link_mode="content",
-                workers=4,
-                batch_size=8,
-            )
-        ).process_call_center(car_corpus)
+        with ThreadBackend(4) as backend:
+            parallel = BIVoCSystem(
+                BIVoCConfig(
+                    use_asr=False,
+                    link_mode="content",
+                    batch_size=8,
+                )
+            ).process_call_center(car_corpus, backend=backend)
         # With >1 batch and pure stages, the executor actually engaged.
         assert any(
             s.parallel for s in parallel.stage_report.stages
@@ -110,14 +111,14 @@ class TestCallCenterStageGraph:
         serial = BIVoCSystem(
             BIVoCConfig(use_asr=True, link_mode="content")
         ).process_call_center(car_corpus)
-        parallel = BIVoCSystem(
-            BIVoCConfig(
-                use_asr=True,
-                link_mode="content",
-                workers=3,
-                batch_size=8,
-            )
-        ).process_call_center(car_corpus)
+        with ThreadBackend(3) as backend:
+            parallel = BIVoCSystem(
+                BIVoCConfig(
+                    use_asr=True,
+                    link_mode="content",
+                    batch_size=8,
+                )
+            ).process_call_center(car_corpus, backend=backend)
         assert _call_signature(serial) == _call_signature(parallel)
 
 
@@ -143,9 +144,11 @@ class TestChurnStageGraph:
 
     def test_parallel_identical_to_serial(self, telecom_corpus):
         serial = run_churn_study(telecom_corpus, channel="sms")
-        parallel = run_churn_study(
-            telecom_corpus, channel="sms", workers=4, batch_size=16
-        )
+        with ThreadBackend(4) as backend:
+            parallel = run_churn_study(
+                telecom_corpus, channel="sms", backend=backend,
+                batch_size=16,
+            )
         assert any(
             s.parallel for s in parallel.stage_report.stages
         )

@@ -1,12 +1,11 @@
-"""The runner's warm execution backend: resolved once, reused per run.
+"""The runner's warm execution backend: built once, borrowed per run.
 
-Guards the backend refactor: a parallel runner constructs exactly one
-executor no matter how many parallel stages or runs it executes (the
-backend is resolved at construction and warm-reused), an injected
-external pool is wrapped and never shut down by the runner, executor
-knobs are mutually exclusive (the validation drift between the runner
-and the query engine is fixed — both raise now), and parallel output
-stays bit-identical to serial in every configuration.
+A parallel runner uses exactly one executor no matter how many
+parallel stages or runs it executes (the backend's pool spawns once
+and is warm-reused), the runner only borrows the backend — closing the
+runner never shuts it down, the backend's owner does — the runner and
+the query engine take no execution argument besides ``backend``, and
+parallel output stays bit-identical to serial in every configuration.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -14,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.engine import Document, MapStage, PipelineRunner
-from repro.exec import ThreadBackend
+from repro.exec import ThreadBackend, make_backend
 import repro.exec.backend as backend_module
 
 
@@ -80,21 +79,24 @@ def counting(monkeypatch):
 
 class TestOneExecutorPerRunner:
     def test_single_pool_spans_all_stages(self, counting):
-        with PipelineRunner(
-            [Square(), Offset(), Offset2()], batch_size=4, workers=3
-        ) as runner:
-            result = runner.run(_docs(32))
-            # Three parallel stages, one executor.
-            assert counting.created == 1
+        with make_backend("thread", workers=3) as backend:
+            with PipelineRunner(
+                [Square(), Offset(), Offset2()], batch_size=4,
+                backend=backend,
+            ) as runner:
+                result = runner.run(_docs(32))
+                # Three parallel stages, one executor.
+                assert counting.created == 1
+                assert counting.closed == 0
+                assert all(s.parallel for s in result.report.stages)
+            # The runner only borrowed the backend.
             assert counting.closed == 0
-            assert all(s.parallel for s in result.report.stages)
-        # Context exit released the owned backend.
+        # The owner's context exit released it.
         assert counting.closed == 1
 
     def test_runs_share_the_warm_pool(self, counting):
-        with PipelineRunner(
-            [Square()], batch_size=4, workers=2
-        ) as runner:
+        with ThreadBackend(2) as backend:
+            runner = PipelineRunner([Square()], batch_size=4, backend=backend)
             runner.run(_docs(16))
             runner.run(_docs(16))
             # Warm-reuse: the second run did not respawn workers.
@@ -109,64 +111,61 @@ class TestOneExecutorPerRunner:
         assert not any(s.parallel for s in result.report.stages)
 
     def test_workers_one_builds_no_pool(self, counting):
-        with PipelineRunner(
-            [Square()], batch_size=4, workers=1
-        ) as runner:
-            result = runner.run(_docs(16))
+        with ThreadBackend(1) as backend:
+            result = PipelineRunner(
+                [Square()], batch_size=4, backend=backend
+            ).run(_docs(16))
         assert counting.created == 0
         assert not any(s.parallel for s in result.report.stages)
 
 
 class TestExternalPool:
     def test_injected_pool_is_used_and_kept_open(self, counting):
-        with ThreadPoolExecutor(max_workers=3) as pool:
+        with ThreadBackend(3) as backend:
             runner = PipelineRunner(
-                [Square(), Offset()], batch_size=4, pool=pool
+                [Square(), Offset()], batch_size=4, backend=backend
             )
             first = runner.run(_docs(24))
             second = runner.run(_docs(24))
             runner.close()
-            # The runner built no pool of its own and left the
-            # injected one usable between runs — and after close().
-            assert counting.created == 0
+            # The runner used the injected backend's one pool and left
+            # it usable between runs — and after close().
+            assert counting.created == 1
+            assert counting.closed == 0
             assert all(s.parallel for s in first.report.stages)
-            assert pool.submit(lambda: 41 + 1).result() == 42
+            assert backend.map(lambda x: x + 1, [41, 1]) == [42, 2]
         assert _values(first) == _values(second)
 
 
 class TestExclusiveExecutorKnobs:
-    """One rule for every constructor: two executors never compete.
+    """One execution argument: two executors can never compete.
 
-    Historically the runner silently preferred an injected ``pool``
-    over ``workers`` while :class:`~repro.serve.engine.QueryEngine`
-    raised — the drift is fixed by sharing one resolver, so both now
-    raise the same error.
+    Every constructor takes a single ``backend``; the ``pool`` and
+    ``workers`` knobs no longer exist, so an ambiguous pair cannot be
+    passed at all — the runner and the query engine reject it alike.
     """
 
     def test_pool_with_workers_raises(self):
         with ThreadPoolExecutor(max_workers=2) as pool:
-            with pytest.raises(ValueError, match="either pool or workers"):
+            with pytest.raises(TypeError, match="unexpected keyword"):
                 PipelineRunner([Square()], workers=3, pool=pool)
 
     def test_pool_with_backend_raises(self):
         with ThreadPoolExecutor(max_workers=2) as pool:
-            with pytest.raises(ValueError, match="either pool or backend"):
-                PipelineRunner([Square()], pool=pool, backend="thread")
+            with pytest.raises(TypeError, match="'pool'"):
+                PipelineRunner([Square()], pool=pool, backend=None)
 
     def test_backend_instance_with_workers_raises(self):
-        backend = ThreadBackend(2)
-        try:
-            with pytest.raises(ValueError, match="backend instance"):
+        with ThreadBackend(2) as backend:
+            with pytest.raises(TypeError, match="'workers'"):
                 PipelineRunner([Square()], workers=3, backend=backend)
-        finally:
-            backend.close()
 
     def test_query_engine_raises_the_same_way(self):
         from repro.serve.engine import QueryEngine
         from repro.stream.epoch import EpochStore
 
         with ThreadPoolExecutor(max_workers=2) as pool:
-            with pytest.raises(ValueError, match="either pool or workers"):
+            with pytest.raises(TypeError, match="unexpected keyword"):
                 QueryEngine(EpochStore(), pool=pool, workers=3)
 
 
@@ -176,13 +175,13 @@ class TestBitIdentity:
         serial = PipelineRunner(
             [Square(), Offset()], batch_size=4
         ).run(_docs(40))
-        with PipelineRunner(
-            stages, batch_size=4, workers=4
-        ) as hoisted_runner:
-            hoisted = hoisted_runner.run(_docs(40))
-        with ThreadPoolExecutor(max_workers=4) as pool:
+        with make_backend("thread", workers=4) as backend:
+            hoisted = PipelineRunner(
+                stages, batch_size=4, backend=backend
+            ).run(_docs(40))
+            # A second runner borrowing the same backend.
             injected = PipelineRunner(
-                [Square(), Offset()], batch_size=4, pool=pool
+                [Square(), Offset()], batch_size=4, backend=backend
             ).run(_docs(40))
         assert _values(hoisted) == _values(serial)
         assert _values(injected) == _values(serial)

@@ -1,17 +1,13 @@
 """ExecBackend protocol: ordering, lifecycle, factories, metrics."""
 
-from concurrent.futures import ThreadPoolExecutor
-
 import pytest
 
 from repro.exec import (
     BACKEND_KINDS,
-    PoolBackend,
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
     make_backend,
-    resolve_backend,
 )
 from repro.obs import MetricsRegistry, Tracer, activated
 
@@ -53,16 +49,6 @@ class TestMapContract:
         with ThreadBackend(4) as backend:
             assert backend.map(_square, []) == []
 
-    def test_injected_pool_backend_maps_and_never_closes(self):
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            backend = PoolBackend(pool)
-            assert backend.map(_square, range(8)) == [
-                i * i for i in range(8)
-            ]
-            backend.close()
-            # The wrapped executor still works: close() was a no-op.
-            assert pool.submit(_square, 6).result() == 36
-
 
 class TestIntrospection:
     """Workers / fan-out / pickling flags drive the callers' choices."""
@@ -71,8 +57,6 @@ class TestIntrospection:
         assert SerialBackend().effective_workers() == 1
         assert ThreadBackend(5).effective_workers() == 5
         assert ProcessBackend(3).effective_workers() == 3
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            assert PoolBackend(pool).effective_workers() == 4
 
     def test_can_fan_out(self):
         assert not SerialBackend().can_fan_out()
@@ -114,59 +98,6 @@ class TestFactory:
             ProcessBackend(0)
         with pytest.raises(ValueError, match="chunk_size"):
             ProcessBackend(2, chunk_size=0)
-
-
-class TestResolver:
-    """resolve_backend: one rule for runner, algebra and engine."""
-
-    def test_all_serial_resolves_to_none(self):
-        assert resolve_backend() == (None, False)
-        assert resolve_backend(workers=1) == (None, False)
-
-    def test_bare_workers_builds_owned_thread_backend(self):
-        backend, owned = resolve_backend(workers=3)
-        assert isinstance(backend, ThreadBackend)
-        assert backend.effective_workers() == 3
-        assert owned
-
-    def test_pool_wraps_into_pool_backend(self):
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            backend, owned = resolve_backend(pool=pool)
-            assert isinstance(backend, PoolBackend)
-            assert backend.pool is pool
-            assert owned
-
-    def test_kind_name_builds_owned_backend(self):
-        backend, owned = resolve_backend(backend="process", workers=2)
-        assert isinstance(backend, ProcessBackend)
-        assert owned
-        backend.close()
-
-    def test_instance_passes_through_unowned(self):
-        instance = ThreadBackend(2)
-        try:
-            backend, owned = resolve_backend(backend=instance)
-            assert backend is instance
-            assert not owned
-        finally:
-            instance.close()
-
-    def test_ambiguous_pairs_raise(self):
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            with pytest.raises(ValueError, match="either pool or workers"):
-                resolve_backend(pool=pool, workers=2)
-            with pytest.raises(ValueError, match="either pool or backend"):
-                resolve_backend(pool=pool, backend="thread")
-        instance = ThreadBackend(2)
-        try:
-            with pytest.raises(ValueError, match="backend instance"):
-                resolve_backend(backend=instance, workers=3)
-        finally:
-            instance.close()
-
-    def test_garbage_backend_raises(self):
-        with pytest.raises(ValueError, match="ExecBackend"):
-            resolve_backend(backend=42)
 
 
 class TestObservability:

@@ -8,7 +8,6 @@ objects, never approximate comparison.  The same holds when the shard
 partials run on a thread pool instead of serially.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -17,6 +16,7 @@ from repro.annotation.domains import CHURN_DRIVER_SURFACES
 from repro.annotation.matcher import AnnotationEngine
 from repro.core import BIVoCConfig
 from repro.core.pipeline import BIVoCSystem
+from repro.exec import ThreadBackend
 from repro.mining.assoc2d import associate
 from repro.mining.index import ConceptIndex
 from repro.mining.olap import concept_cube
@@ -194,14 +194,14 @@ class TestPooledEquivalence:
             "emerging": emerging_concepts(sharded, spec["trend_dim"]),
         }
         serial_table = associate(sharded, spec["rows"], spec["cols"])
-        with ThreadPoolExecutor(max_workers=4) as pool:
+        with ThreadBackend(4) as backend:
             assert relative_frequency(
-                sharded, spec["focus"], spec["candidates"], pool=pool
+                sharded, spec["focus"], spec["candidates"], backend=backend
             ) == serial["relfreq"]
             assert emerging_concepts(
-                sharded, spec["trend_dim"], pool=pool
+                sharded, spec["trend_dim"], backend=backend
             ) == serial["emerging"]
             pooled_table = associate(
-                sharded, spec["rows"], spec["cols"], pool=pool
+                sharded, spec["rows"], spec["cols"], backend=backend
             )
         assert_tables_identical(serial_table, pooled_table)

@@ -1,9 +1,16 @@
 """Tests for exact and fuzzy indexes."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro
 from repro.store.index import (
     CompositeIndex,
     DigitsIndex,
@@ -114,6 +121,47 @@ class TestCompositeIndex:
     def test_requires_subindexes(self):
         with pytest.raises(ValueError):
             CompositeIndex([])
+
+
+# Every entity shares exactly one query gram or Soundex code, so all
+# candidates tie and the ranking is the order the query's grams and
+# codes are counted in.
+_RANKING_SCRIPT = """
+import json
+from repro.store.index import CompositeIndex, QGramIndex, SoundexIndex
+
+query = "smith jones brown lee"
+grams = ["sm", "mi", "it", "th", "jo", "on", "ne", "es", "br", "ro", "ow"]
+names = ["qq" + gram + "xx" for gram in grams]
+names += ["smyth", "jonas", "braun", "leigh"]
+rankings = {}
+for kind, index in (
+    ("qgram", QGramIndex(q=2)),
+    ("soundex", SoundexIndex()),
+    ("composite", CompositeIndex([QGramIndex(q=2), SoundexIndex()])),
+):
+    for entity_id, name in enumerate(names):
+        index.add(entity_id, name)
+    rankings[kind] = index.candidates(query)
+print(json.dumps(rankings))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_ranked_candidates_equal_across_hash_seeds(self):
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            completed = subprocess.run(
+                [sys.executable, "-c", _RANKING_SCRIPT],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.append(json.loads(completed.stdout))
+        assert outputs[0]["qgram"]
+        assert outputs[0]["soundex"]
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
 
 class TestBuildIndexForAttribute:

@@ -304,6 +304,28 @@ class TestConstruction:
         assert consumer.restore() is False
         assert consumer.report.restored is False
 
+    def _assert_rejected_untouched(self, checkpoint_path, match):
+        """A rejected restore leaves index, window, offset and report."""
+        windowed = _build(checkpoint_path)
+        windowed.run(max_batches=1, checkpoint_at_end=False)
+        index = windowed.index
+        before = (
+            index_to_state(index),
+            windowed.window.to_state(),
+            windowed.committed_offset,
+            windowed.report.to_json_dict(),
+        )
+        with pytest.raises(ValueError, match=match):
+            windowed.restore()
+        assert windowed.index is index
+        assert (
+            index_to_state(windowed.index),
+            windowed.window.to_state(),
+            windowed.committed_offset,
+            windowed.report.to_json_dict(),
+        ) == before
+        assert windowed.report.restored is False
+
     def test_restore_rejects_windowless_checkpoint(self, tmp_path):
         plain = StreamConsumer(
             MemorySource(_make_pairs(10)),
@@ -312,6 +334,19 @@ class TestConstruction:
             batch_docs=4,
         )
         plain.run()
-        windowed = _build(tmp_path / "ck.json")
-        with pytest.raises(ValueError, match="no window state"):
-            windowed.restore()
+        self._assert_rejected_untouched(
+            tmp_path / "ck.json", "no window state"
+        )
+
+    def test_restore_rejects_mismatched_window_size(self, tmp_path):
+        wider = StreamConsumer(
+            MemorySource(_make_pairs(10)),
+            [ConceptIndexStage(on_duplicate="replace")],
+            window=WindowedAnalytics(5),
+            checkpointer=Checkpointer(tmp_path / "ck.json"),
+            batch_docs=4,
+        )
+        wider.run()
+        self._assert_rejected_untouched(
+            tmp_path / "ck.json", "configured for 3"
+        )

@@ -1,4 +1,4 @@
-"""WindowedAnalytics: delta-maintained snapshots == batch mining.
+"""WindowedAnalytics: windowed snapshots == batch mining.
 
 The central claim of the streaming subsystem: after any sequence of
 ingests (including upserts, late arrivals and evictions), every
@@ -139,16 +139,24 @@ class TestBatchEquivalence:
         deliveries = _deliveries(seed)
         window = _feed(deliveries)
         batch = _batch_index(_expected_window(deliveries, WINDOW))
-        for dimension in (
-            ("field", "city"), ("field", "car"), ("concept", "topic")
-        ):
-            for key in batch.keys_of_dimension(dimension):
-                assert window.trend_snapshot(key) == trend_series(
-                    batch, key
+        # Explicit buckets reach below the window floor (evicted and
+        # never-seen periods read as zeros) and past the newest bucket.
+        explicit = list(
+            range(window.window_floor - 2, window.max_bucket + 2)
+        )
+        for buckets in (None, explicit):
+            for dimension in (
+                ("field", "city"), ("field", "car"), ("concept", "topic")
+            ):
+                for key in batch.keys_of_dimension(dimension):
+                    assert window.trend_snapshot(
+                        key, buckets=buckets
+                    ) == trend_series(batch, key, buckets=buckets)
+                assert window.emerging_snapshot(
+                    dimension, buckets=buckets, min_total=1
+                ) == emerging_concepts(
+                    batch, dimension, buckets=buckets, min_total=1
                 )
-            assert window.emerging_snapshot(
-                dimension, min_total=1
-            ) == emerging_concepts(batch, dimension, min_total=1)
 
     def test_state_round_trip_preserves_everything(self, seed):
         deliveries = _deliveries(seed)
