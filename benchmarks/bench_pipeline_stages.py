@@ -6,22 +6,69 @@ time for the call-center flow and the churn flow — so the perf
 trajectory of every stage is tracked from this PR onward.  Also prints
 the human-readable stage tables.
 
-The churn flow is then re-run under each execution backend (serial,
-thread, process) with two workers, recording wall time per backend
-and asserting the document counts match the serial run — the bench
-suite's end-to-end check that backend choice never changes what the
-pipeline produces at scale.
+The churn study is then run in ten alternating pairs, inline and on a
+two-worker process pool.  Every pooled result must equal the inline
+one, and the median inline/pool wall-time ratio is recorded as
+``churn_email_pool.median_speedup`` — gated in
+``benchmarks/baselines.json``, so a change that stops the pool paying
+on the entity-linking study fails the bench trajectory.  The figure
+needs at least two cores.
 """
 
 import json
 import pathlib
+import statistics
 import time
 
 from repro.core.usecases.churn import run_churn_study
-from repro.exec import BACKEND_KINDS, make_backend
+from repro.exec import process_pool
 from repro.util.tabletext import format_table
 
 OUTPUT_PATH = pathlib.Path("BENCH_pipeline.json")
+
+#: Alternating inline / pool pairs behind the speedup figure.
+POOL_PAIRS = 10
+
+
+def _churn_outcome(corpus, workers):
+    """Wall time and the comparable outcome of one churn study run."""
+    start = time.perf_counter()
+    with process_pool(workers) as backend:
+        result = run_churn_study(corpus, channel="email", backend=backend)
+    wall_s = time.perf_counter() - start
+    outcome = (
+        result.total_messages,
+        result.linked_messages,
+        result.unlinked_fraction,
+        result.detection_rate,
+        result.flagged_customers,
+        result.stage_report.total_out,
+    )
+    return wall_s, outcome
+
+
+def _pool_pairs(corpus, reference):
+    """Inline vs two-worker pool over alternating pairs (the order
+    flips every pair, so drift in host speed hits both sides)."""
+    inline_s, pool_s = [], []
+    for pair in range(POOL_PAIRS):
+        order = (0, 2) if pair % 2 == 0 else (2, 0)
+        for workers in order:
+            wall_s, outcome = _churn_outcome(corpus, workers)
+            assert outcome == reference
+            (pool_s if workers else inline_s).append(wall_s)
+    speedups = [a / b for a, b in zip(inline_s, pool_s)]
+    q1, _, q3 = statistics.quantiles(speedups, n=4)
+    return {
+        "pairs": POOL_PAIRS,
+        "workers": 2,
+        "median_speedup": statistics.median(speedups),
+        "speedup_q1": q1,
+        "speedup_q3": q3,
+        "pool_wins": sum(b < a for a, b in zip(inline_s, pool_s)),
+        "inline_median_s": statistics.median(inline_s),
+        "pool_median_s": statistics.median(pool_s),
+    }
 
 
 def test_bench_pipeline_stage_timing(clean_study, telecom_corpus, smoke):
@@ -29,30 +76,15 @@ def test_bench_pipeline_stage_timing(clean_study, telecom_corpus, smoke):
     call_report = clean_study.analysis.stage_report
     churn_result = run_churn_study(telecom_corpus, channel="email")
     churn_report = churn_result.stage_report
-
-    backend_runs = {}
-    for kind in BACKEND_KINDS:
-        start = time.perf_counter()
-        with make_backend(kind, workers=2) as backend:
-            result = run_churn_study(
-                telecom_corpus, channel="email", backend=backend
-            )
-        wall_s = time.perf_counter() - start
-        report = result.stage_report
-        assert report.total_in == churn_report.total_in
-        assert report.total_out == churn_report.total_out
-        backend_runs[kind] = {
-            "wall_time_s": wall_s,
-            "total_in": report.total_in,
-            "total_out": report.total_out,
-        }
+    _, reference = _churn_outcome(telecom_corpus, 0)
+    pool = _pool_pairs(telecom_corpus, reference)
 
     payload = {
         "bench": "pipeline_stages",
         "smoke": smoke,
         "call_center": call_report.to_json_dict(),
         "churn_email": churn_report.to_json_dict(),
-        "churn_email_backends": backend_runs,
+        "churn_email_pool": pool,
     }
     OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -65,13 +97,18 @@ def test_bench_pipeline_stage_timing(clean_study, telecom_corpus, smoke):
     print()
     print(
         format_table(
-            ["backend", "wall time", "docs out"],
+            ["execution", "median wall time"],
             [
-                [kind, f"{run['wall_time_s']:.2f} s",
-                 str(run["total_out"])]
-                for kind, run in backend_runs.items()
+                ["inline", f"{pool['inline_median_s']:.2f} s"],
+                ["process (2)", f"{pool['pool_median_s']:.2f} s"],
             ],
-            title="churn email flow by execution backend (2 workers)",
+            title=(
+                f"churn email study over {POOL_PAIRS} alternating "
+                f"pairs: median speedup {pool['median_speedup']:.2f} "
+                f"(IQR {pool['speedup_q1']:.2f}-"
+                f"{pool['speedup_q3']:.2f}), pool won "
+                f"{pool['pool_wins']}/{POOL_PAIRS}"
+            ),
         )
     )
     print(f"\nwrote {OUTPUT_PATH}")

@@ -1,27 +1,19 @@
 """Sharded analytics: indexing throughput and per-analytic latency.
 
 The partial/merge/finalize algebra (``repro.mining.algebra``) promises
-two things: sharded execution is *bit-identical* to the single-index
-analytics, and the per-shard partials give the runtime something to
-fan out.  This bench measures both over the pipeline-built car-rental
+that sharded execution is *bit-identical* to the single-index
+analytics.  This bench measures it over the pipeline-built car-rental
 index: for 1, 2, 4 and 8 shards it times index construction
 (docs/sec) and each analytic (relative frequency, association, trends,
 emerging concepts, OLAP cube), verifies every result ``==`` the
 unsharded reference, and emits the trajectory artifact — with
 ``merge_identical`` as a gated correctness metric (1 = every layout
-matched exactly).
-
-The same sweep is then repeated per execution backend (serial,
-thread, process) so the trajectory records where per-shard fan-out
-pays off.  ``process_speedup`` (best multi-shard throughput under the
-process backend over its single-shard run) is tracked as a
-*non-gating* baseline: single-core CI runners cannot show a real
-speedup, only that the process path stays correct.
+matched exactly).  The analytics run inline, because fanning per-shard
+partials out to threads or processes is slower (DESIGN.md §15).
 """
 
 import time
 
-from repro.exec import BACKEND_KINDS, make_backend
 from repro.mining.assoc2d import associate
 from repro.mining.olap import concept_cube
 from repro.mining.relfreq import relative_frequency
@@ -54,7 +46,7 @@ def _reshard(single, n_shards):
     return sharded, time.perf_counter() - start
 
 
-def _run_analytics(index, backend=None):
+def _run_analytics(index):
     """Run every mining analytic; returns (results, latencies_ms)."""
     results = {}
     timings = {}
@@ -66,30 +58,26 @@ def _run_analytics(index, backend=None):
 
     timed(
         "relative_frequency",
-        lambda: relative_frequency(
-            index, FOCUS, CANDIDATES, backend=backend
-        ),
+        lambda: relative_frequency(index, FOCUS, CANDIDATES),
     )
     timed(
         "associate",
-        lambda: associate(index, ROWS, COLS, backend=backend),
+        lambda: associate(index, ROWS, COLS),
     )
     timed(
         "trend_series",
         lambda: [
-            trend_series(index, key, backend=backend)
+            trend_series(index, key)
             for key in index.keys_of_dimension(TREND_DIM)
         ],
     )
     timed(
         "emerging_concepts",
-        lambda: emerging_concepts(
-            index, TREND_DIM, min_total=1, backend=backend
-        ),
+        lambda: emerging_concepts(index, TREND_DIM, min_total=1),
     )
     timed(
         "concept_cube",
-        lambda: concept_cube(index, CUBE_DIMS, backend=backend),
+        lambda: concept_cube(index, CUBE_DIMS),
     )
     return results, timings
 
@@ -122,12 +110,10 @@ def test_sharded_analytics(clean_study, smoke):
     reference, single_timings = _run_analytics(single)
 
     layouts = {}
-    sharded_layouts = {}
     all_identical = True
     for n_shards in SHARD_COUNTS:
         sharded, build_s = _reshard(single, n_shards)
         assert len(sharded) == n_docs
-        sharded_layouts[n_shards] = sharded
         results, timings = _run_analytics(sharded)
         identical = _identical(reference, results)
         all_identical = all_identical and identical
@@ -138,40 +124,6 @@ def test_sharded_analytics(clean_study, smoke):
             "merge_identical": 1 if identical else 0,
             "shard_sizes": sharded.shard_sizes(),
         }
-
-    # The same sweep again under every execution backend.  The
-    # interesting number is the process backend: its per-shard
-    # partials fan out across worker processes, so multi-shard runs
-    # should keep pace with (and on real multi-core hosts beat) its
-    # own single-shard run — while staying bit-identical throughout.
-    backends = {}
-    for kind in BACKEND_KINDS:
-        per_layout = {}
-        for n_shards in SHARD_COUNTS:
-            with make_backend(kind, workers=2) as backend:
-                results, timings = _run_analytics(
-                    sharded_layouts[n_shards], backend=backend
-                )
-            identical = _identical(reference, results)
-            all_identical = all_identical and identical
-            per_layout[str(n_shards)] = {
-                "analytic_latency_ms": timings,
-                "total_analytic_ms": sum(timings.values()),
-                "merge_identical": 1 if identical else 0,
-            }
-        backends[kind] = per_layout
-
-    process_single_ms = backends["process"]["1"]["total_analytic_ms"]
-    process_best_multi_ms = min(
-        backends["process"][str(n)]["total_analytic_ms"]
-        for n in SHARD_COUNTS
-        if n > 1
-    )
-    process_speedup = (
-        process_single_ms / process_best_multi_ms
-        if process_best_multi_ms
-        else 0.0
-    )
 
     print()
     print(
@@ -192,23 +144,6 @@ def test_sharded_analytics(clean_study, smoke):
             ),
         )
     )
-    print()
-    print(
-        format_table(
-            ["backend"] + [f"{n} shards" for n in SHARD_COUNTS],
-            [
-                [kind] + [
-                    f"{per_layout[str(n)]['total_analytic_ms']:.1f} ms"
-                    for n in SHARD_COUNTS
-                ]
-                for kind, per_layout in backends.items()
-            ],
-            title=(
-                "total analytic latency by backend "
-                f"(process speedup {process_speedup:.2f}x)"
-            ),
-        )
-    )
     assert all_identical
     emit(
         "shards",
@@ -219,7 +154,5 @@ def test_sharded_analytics(clean_study, smoke):
             "merge_identical": 1 if all_identical else 0,
             "single_analytic_latency_ms": single_timings,
             "layouts": layouts,
-            "backends": backends,
-            "process_speedup": process_speedup,
         },
     )

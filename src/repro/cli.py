@@ -22,7 +22,6 @@ the richer wrapper with format selection and a flame summary.
 
 import argparse
 import sys
-from contextlib import contextmanager
 
 
 def _add_common(parser):
@@ -30,38 +29,21 @@ def _add_common(parser):
                         help="corpus random seed")
 
 
-@contextmanager
-def _execution_backend(kind, workers):
-    """The backend behind ``--backend``/``--workers``, closed on exit.
+def _add_workers_option(parser):
+    """``--workers`` for the study commands.
 
-    ``None`` (inline execution) unless ``workers > 1``.  The command
-    owns the backend; the consumers and engines it builds borrow it.
+    The streaming commands take none: their micro-batches are smaller
+    than one runner batch, so a pool would never fan out there.
     """
-    if workers <= 1:
-        yield None
-        return
-    from repro.exec import make_backend
-
-    with make_backend(kind, workers=workers) as backend:
-        yield backend
+    parser.add_argument(
+        "--workers", type=int, default=0,
+        help="process-pool workers for pure pipeline stages "
+             "(0 or 1 = inline; pooled output is bit-identical)",
+    )
 
 
 def _add_engine_options(parser):
     """Pipeline-engine knobs shared by the staged commands."""
-    from repro.exec import BACKEND_KINDS
-
-    parser.add_argument(
-        "--workers", type=int, default=0,
-        help="workers for pure pipeline stages "
-             "(0 = serial; parallel output is bit-identical)",
-    )
-    parser.add_argument(
-        "--backend", choices=BACKEND_KINDS, default="thread",
-        help="execution backend behind --workers: 'thread' shares the "
-             "GIL, 'process' escapes it via a ProcessPoolExecutor, "
-             "'serial' forces inline; every backend's output is "
-             "bit-identical (default: thread)",
-    )
     parser.add_argument(
         "--stage-stats", action="store_true",
         help="print the per-stage docs in/out/discard + wall-time table",
@@ -103,7 +85,6 @@ def cmd_tables(args):
             use_asr=args.asr,
             link_mode="content",
             workers=args.workers,
-            backend=args.backend,
             shards=args.shards or 0,
         ),
     )
@@ -207,13 +188,14 @@ def cmd_training(args):
 def cmd_churn(args):
     """Run the SecVI churn study at the given scale."""
     from repro.core.usecases.churn import run_churn_study
+    from repro.exec import process_pool
     from repro.synth.telecom import TelecomConfig, generate_telecom
 
     corpus = generate_telecom(
         TelecomConfig(scale=args.scale, n_customers=args.customers,
                       seed=args.seed)
     )
-    with _execution_backend(args.backend, args.workers) as backend:
+    with process_pool(args.workers) as backend:
         result = run_churn_study(
             corpus, channel=args.channel, shards=args.shards,
             backend=backend,
@@ -329,7 +311,7 @@ def _build_telecom_stream(args):
     # One shared "churn driver" category so windowed trend/association
     # snapshots can rank the drivers against each other.  The annotate
     # stage is a module-level class (not a lambda FunctionStage) so it
-    # pickles into process-backend workers.
+    # pickles into process-pool workers.
     stages = [
         CleaningStage(),
         StreamAnnotateStage(churn_driver_engine()),
@@ -377,16 +359,13 @@ def cmd_stream(args):
     checkpointer = (
         Checkpointer(args.checkpoint) if args.checkpoint else None
     )
-    with _execution_backend(
-        args.backend, args.workers
-    ) as backend, StreamConsumer(
+    with StreamConsumer(
         source,
         stages,
         window=window,
         checkpointer=checkpointer,
         batch_docs=args.batch_docs,
         checkpoint_interval=args.checkpoint_interval,
-        backend=backend,
     ) as consumer:
         if checkpointer is not None and consumer.restore():
             print(
@@ -427,16 +406,6 @@ def cmd_stream(args):
 
 def cmd_serve(args):
     """Serve analytic queries over HTTP while a stream ingests."""
-    with _execution_backend(
-        args.backend, args.workers
-    ) as backend, _execution_backend(
-        args.backend, args.query_workers
-    ) as query_backend:
-        return _serve(args, backend, query_backend)
-
-
-def _serve(args, backend, query_backend):
-    """:func:`cmd_serve`'s body, on the command's two backends."""
     import json
     import os
     import signal
@@ -472,7 +441,6 @@ def _serve(args, backend, query_backend):
         checkpointer=checkpointer,
         batch_docs=args.batch_docs,
         checkpoint_interval=args.checkpoint_interval,
-        backend=backend,
         epochs=epochs,
     )
     if checkpointer is not None and consumer.restore():
@@ -482,7 +450,6 @@ def _serve(args, backend, query_backend):
         )
     engine = QueryEngine(
         epochs,
-        backend=query_backend,
         cache=QueryCache(
             capacity=args.cache_capacity, ttl=args.cache_ttl
         ),
@@ -588,10 +555,9 @@ def cmd_chaos(args):
         print(json.dumps(plan.to_json_dict(), indent=2))
         return 0
 
-    def build_consumer(checkpointer, backend):
+    def build_consumer(checkpointer):
         # Rebuilt from scratch per (re)start: a crash loses every bit
-        # of in-memory state, so the resume path must too.  The
-        # backend holds no stream state and is shared by every run.
+        # of in-memory state, so the resume path must too.
         source, stages, _ = _build_carrental_stream(args)
         return StreamConsumer(
             source,
@@ -599,7 +565,6 @@ def cmd_chaos(args):
             checkpointer=checkpointer,
             batch_docs=args.batch_docs,
             checkpoint_interval=2,
-            backend=backend,
         )
 
     retry = RetryPolicy(
@@ -607,10 +572,8 @@ def cmd_chaos(args):
     )
     injector = plan.injector(sleep=lambda _delay: None)
     restarts = 0
-    with _execution_backend(
-        args.backend, args.workers
-    ) as backend, tempfile.TemporaryDirectory() as tmp:
-        reference = build_consumer(None, backend)
+    with tempfile.TemporaryDirectory() as tmp:
+        reference = build_consumer(None)
         reference.run(checkpoint_at_end=False)
         expected = index_to_state(reference.index)
         ck_path = os.path.join(tmp, "chaos-checkpoint.json")
@@ -619,7 +582,7 @@ def cmd_chaos(args):
                 checkpointer = Checkpointer(
                     ck_path, retry=retry, sleep=lambda _delay: None
                 )
-                consumer = build_consumer(checkpointer, backend)
+                consumer = build_consumer(checkpointer)
                 try:
                     consumer.restore()
                 except CheckpointCorrupt:
@@ -834,8 +797,6 @@ def cmd_effects(args):
 
 def build_parser():
     """Build the argparse parser for all subcommands."""
-    from repro.exec import BACKEND_KINDS
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="BIVoC (ICDE 2009) reproduction toolkit",
@@ -845,6 +806,7 @@ def build_parser():
     tables = sub.add_parser("tables", help="regenerate Tables II-IV")
     _add_common(tables)
     _add_engine_options(tables)
+    _add_workers_option(tables)
     tables.add_argument(
         "--source", choices=("carrental",), default="carrental",
         help="synthetic corpus behind the tables (carrental only)",
@@ -869,6 +831,7 @@ def build_parser():
     churn = sub.add_parser("churn", help="run the SecVI churn study")
     _add_common(churn)
     _add_engine_options(churn)
+    _add_workers_option(churn)
     churn.add_argument("--scale", type=float, default=0.05,
                        help="fraction of the paper's message volume")
     churn.add_argument("--customers", type=int, default=2500)
@@ -967,11 +930,6 @@ def build_parser():
                        help="bind address")
     serve.add_argument("--port", type=int, default=8321,
                        help="bind port (0 picks a free port)")
-    serve.add_argument(
-        "--query-workers", type=int, default=0,
-        help="thread workers for per-shard query partials "
-             "(0 = serial; pooled results are bit-identical)",
-    )
     serve.add_argument("--cache-capacity", type=int, default=128,
                        help="epoch-keyed result cache entries")
     serve.add_argument(
@@ -1043,16 +1001,6 @@ def build_parser():
                        help="carrental: number of days")
     chaos.add_argument("--batch-docs", type=int, default=16,
                        help="documents per ingestion micro-batch")
-    chaos.add_argument(
-        "--workers", type=int, default=0,
-        help="workers for pure pipeline stages during the drill "
-             "(0 = serial)",
-    )
-    chaos.add_argument(
-        "--backend", choices=BACKEND_KINDS, default="thread",
-        help="execution backend behind --workers (the crash/resume "
-             "contract holds on every backend)",
-    )
     chaos.add_argument("--window", type=int, default=3,
                        help=argparse.SUPPRESS)
     chaos.set_defaults(func=cmd_chaos)
@@ -1063,9 +1011,9 @@ def build_parser():
         description=(
             "Generates a random corpus/config from --seed (doc "
             "counts, channels, shard counts, batch sizes, worker "
-            "counts, backends) and asserts every equivalence the "
-            "repo guarantees on it: sharded == single-index, every "
-            "backend == serial, stream crash/resume == uninterrupted, "
+            "counts) and asserts every equivalence the "
+            "repo guarantees on it: sharded == single-index, process "
+            "pool == inline, stream crash/resume == uninterrupted, "
             "traced == untraced. The tests/prop suite runs 25 seeds "
             "of exactly this oracle in CI; a failing seed there "
             "prints the matching 'bivoc prop --seed N' line."

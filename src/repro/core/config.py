@@ -2,8 +2,6 @@
 
 from dataclasses import dataclass
 
-from repro.exec import BACKEND_KINDS
-
 
 @dataclass(frozen=True)
 class BIVoCConfig:
@@ -34,13 +32,11 @@ class BIVoCConfig:
     two_pass_top_n: int = 5
     # Engine execution knobs: documents flow through the stage graph in
     # batches of ``batch_size``.  With ``workers`` > 1,
-    # ``run_insight_analysis`` builds one backend of kind ``backend``
-    # ("serial" / "thread" / "process") and passes it to the pipeline
-    # and the analytics (bit-identical to serial on every backend — see
+    # ``run_insight_analysis`` runs the pure stages on a process pool of
+    # that width (bit-identical to inline execution — see
     # repro.engine.runner and repro.exec).
     batch_size: int = 64
     workers: int = 0
-    backend: str = "thread"
     # Concept-index layout: 0 keeps the single in-memory index, a
     # positive count hash-partitions it into that many shards and the
     # mining analytics run per-shard partials merged exactly
@@ -57,10 +53,5 @@ class BIVoCConfig:
             raise ValueError("batch_size must be >= 1")
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
-        if self.backend not in BACKEND_KINDS:
-            raise ValueError(
-                f"backend must be one of {list(BACKEND_KINDS)}, "
-                f"got {self.backend!r}"
-            )
         if self.shards < 0:
             raise ValueError("shards must be >= 0")

@@ -444,10 +444,9 @@ class BIVoCSystem:
     def process_call_center(self, corpus, backend=None):
         """Run the full pipeline over a car-rental corpus.
 
-        ``backend`` is a ready execution backend for the runner's pure
+        ``backend`` is a ready process pool for the runner's pure
         stages (see :class:`~repro.engine.PipelineRunner`; ``None``
-        runs inline); callers that follow the run with sharded
-        analytics share it across both and close it afterwards.
+        runs inline); the caller closes it.
         """
         stages = self.build_call_stages(corpus)
         index_stage = stages[-1]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from repro.core.config import BIVoCConfig
 from repro.core.pipeline import BIVoCSystem
-from repro.exec import make_backend
+from repro.exec import process_pool
 from repro.mining.assoc2d import associate
 from repro.synth.carrental import (
     CarRentalConfig,
@@ -54,53 +54,39 @@ _OUTCOMES = ["reservation", "unbooked"]
 def run_insight_analysis(corpus, config=None):
     """Run the BIVoC pipeline and build the paper's tables.
 
-    With ``config.workers > 1`` one execution backend of the
-    configured kind (``config.backend``: thread pool by default,
-    process pool for GIL-free fan-out) serves both the engine's
-    parallel stages and the sharded analytics' per-shard partials (the
-    order-preserving fan-out keeps every table bit-identical to the
-    serial run on any backend).
+    With ``config.workers > 1`` the pipeline's pure stages run on a
+    process pool of that width (the order-preserving fan-out keeps
+    every table bit-identical to the inline run); the association
+    tables are computed inline.
     """
     config = config or BIVoCConfig()
     system = BIVoCSystem(config=config)
-    backend = (
-        make_backend(config.backend, workers=config.workers)
-        if config.workers > 1
-        else None
-    )
-    try:
+    with process_pool(config.workers) as backend:
         analysis = system.process_call_center(corpus, backend=backend)
-        index = analysis.index
-        intent_table = associate(
+    index = analysis.index
+    intent_table = associate(
+        index,
+        ("field", "detected_intent"),
+        ("field", "call_type"),
+        col_values=_OUTCOMES,
+    )
+    utterance_tables = {
+        "value_selling": associate(
             index,
-            ("field", "detected_intent"),
+            ("field", "agent_value_selling"),
             ("field", "call_type"),
             col_values=_OUTCOMES,
-            backend=backend,
-        )
-        utterance_tables = {
-            "value_selling": associate(
-                index,
-                ("field", "agent_value_selling"),
-                ("field", "call_type"),
-                col_values=_OUTCOMES,
-                backend=backend,
-            ),
-            "discount": associate(
-                index,
-                ("field", "agent_discount"),
-                ("field", "call_type"),
-                col_values=_OUTCOMES,
-                backend=backend,
-            ),
-        }
-        location_vehicle_table = associate(
-            index, ("concept", "place"), ("concept", "vehicle type"),
-            backend=backend,
-        )
-    finally:
-        if backend is not None:
-            backend.close()
+        ),
+        "discount": associate(
+            index,
+            ("field", "agent_discount"),
+            ("field", "call_type"),
+            col_values=_OUTCOMES,
+        ),
+    }
+    location_vehicle_table = associate(
+        index, ("concept", "place"), ("concept", "vehicle type")
+    )
     return AgentProductivityStudy(
         analysis=analysis,
         intent_table=intent_table,

@@ -178,7 +178,7 @@ class StreamAnnotateStage(MapStage):
     source stages ``index_fields`` (and any time bucket) on its
     documents up front, so this hook writes only the annotation.  A
     module-level class — not a lambda ``FunctionStage`` — so the stage
-    pickles into process-backend workers.
+    pickles into process-pool workers.
     """
 
     name = "annotate"
@@ -350,9 +350,8 @@ def run_churn_study(corpus, channel="email", split_month=None,
     ``split_month`` separates training history from the evaluation
     month (defaults to the corpus's last month).  ``batch_size`` and
     ``backend`` are the engine execution knobs: ``backend`` is a ready
-    :class:`~repro.exec.ExecBackend` (``None`` runs inline), and
-    parallel execution of pure stages is bit-identical to serial on
-    every backend.
+    :class:`~repro.exec.ProcessBackend` (``None`` runs inline), and
+    pooled execution of pure stages is bit-identical to inline.
 
     ``shards`` opts into the churn-driver concept index
     (:func:`build_driver_index_stages`): ``None`` (the default) skips

@@ -115,10 +115,10 @@ KNOWN_EXTERNAL_PREFIXES = (
     ("abc.", frozenset()),
     ("typing.", frozenset()),
     ("threading.", frozenset()),  # Lock() construction is benign
-    # Executor construction/submission (repro.exec backends) moves
-    # work, not data: the backends' order-preserving map keeps results
-    # bit-identical to serial, so pool plumbing itself is effect-free
-    # for purity purposes.
+    # Executor construction/submission (the repro.exec process pool)
+    # moves work, not data: its order-preserving map keeps results
+    # bit-identical to inline execution, so pool plumbing itself is
+    # effect-free for purity purposes.
     ("concurrent.futures.", frozenset()),
     ("multiprocessing.", frozenset()),
     # Pickling serializes to bytes in memory; no file or socket moves.

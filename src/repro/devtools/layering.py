@@ -6,7 +6,7 @@ testable and replaceable:
 
     util                          (rank 0: imports nothing from repro)
     obs                           (rank 1: tracing + metrics substrate)
-    exec                          (rank 2: execution backends)
+    exec                          (rank 2: the process pool)
     engine store faults           (rank 3: engine; warehouse; resilience)
     synth                         (rank 4: generators fill the store)
     asr cleaning linking annotation   (rank 5: channel engines)
@@ -36,10 +36,9 @@ DEFAULT_LAYERS = {
     # bump counters, so the tracer/metrics substrate must be
     # importable from rank 2 upward while itself importing nothing.
     "obs": 1,
-    # Execution backends (serial / thread / process fan-out) sit just
-    # above observability: the engine, the mining algebra and the
-    # serving layer all map work through them, while the backends
-    # themselves only record write-only metrics.
+    # The process pool sits just above observability: the engine maps
+    # pure stages through it, while the pool itself only records
+    # write-only metrics.
     "exec": 2,
     "engine": 3,
     "store": 3,

@@ -1,9 +1,10 @@
 """Concurrency-safety checker for the engine's purity contract.
 
-The parallel executor trusts ``Stage.pure`` declarations: a pure stage
-is run on worker threads, so a mis-declared one silently becomes a
-data race.  This module makes the declaration checkable: it finds every
-stage class (structurally — any class defining both a ``pure`` class
+The process pool trusts ``Stage.pure`` declarations: a pure stage runs
+in worker processes, each batch on its own copy of the stage, so a
+mis-declared one silently loses or splits its shared-state writes.
+This module makes the declaration checkable: it finds every stage
+class (structurally — any class defining both a ``pure`` class
 attribute and a ``process`` method, plus all subclasses — so vendored
 test engines are recognised without configuration), infers the effects
 of running its ``process`` entry point *specialised to the concrete

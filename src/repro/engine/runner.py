@@ -11,23 +11,22 @@
   stage's wall time, collected into a :class:`PipelineReport`;
 * batches of *pure* stages (see
   :class:`~repro.engine.stage.Stage.pure`) are mapped across an
-  execution backend (see :mod:`repro.exec`) with an order-preserving
-  map; impure stages always run serially.  Because pure stages process
-  documents independently and deterministically, parallel execution is
-  bit-identical to serial execution on every backend — the determinism
-  guarantee every paper artifact relies on.
+  optional process pool (see :mod:`repro.exec`) with an
+  order-preserving map; impure stages always run inline.  Because
+  pure stages process documents independently and deterministically,
+  pooled execution is bit-identical to inline execution — the
+  determinism guarantee every paper artifact relies on.
 
-The backend is one ready :class:`~repro.exec.ExecBackend` (or
-``None`` for inline execution) passed at construction and warm-reused
-across runs — worker spawn is paid once per backend, not once per
-run.  The runner only borrows it: whoever called
-:func:`~repro.exec.make_backend` closes it.
+The pool is one ready :class:`~repro.exec.ProcessBackend` (or ``None``
+for inline execution) passed at construction and warm-reused across
+runs — worker spawn is paid once per pool, not once per run.  The
+runner only borrows it: whoever called
+:func:`~repro.exec.process_pool` closes it.
 
-On backends that pickle tasks across a process boundary, each batch
-ships inside a module-level :class:`_StageTask` envelope instead of a
-span-opening closure; per-batch child spans are skipped there (the
-parent tracer is unreachable from a worker process), which cannot
-change results because observability is write-only.
+On the pool, each batch ships inside a module-level
+:class:`_StageTask` envelope; per-batch child spans are skipped there
+(the parent tracer is unreachable from a worker process), which
+cannot change results because observability is write-only.
 
 Wall-time measurement is instrumentation only: it is reported, never
 fed back into document flow, and the clock is injectable so tests (and
@@ -36,9 +35,8 @@ fake.
 
 The runner is also the engine's observability anchor (see
 :mod:`repro.obs`): every run opens a ``pipeline:run`` span, every
-stage a ``stage:<name>`` span, and every batch a ``batch`` span
-parented to its stage (explicitly, so the hierarchy survives the
-thread-pool executor), while a metrics registry accumulates document
+stage a ``stage:<name>`` span, and every inline batch a ``batch``
+span nested in its stage, while a metrics registry accumulates document
 counters and per-stage wall-time histograms.  Both default to the
 ambient collectors, which are no-ops unless a trace is active —
 tracing never alters document flow, so traced and untraced runs are
@@ -56,7 +54,7 @@ class _StageTask:
 
     Defined at module level (spawn-safe) and holding only the stage, so
     it crosses process boundaries whenever the stage itself pickles —
-    which every pure stage must, to run on the process backend.
+    which every pure stage must, to run on the process pool.
     """
 
     def __init__(self, stage):
@@ -177,8 +175,8 @@ class PipelineRunner:
 
     ``batch_size`` bounds the unit of work handed to each stage (and to
     each worker); ``backend`` is a ready
-    :class:`~repro.exec.ExecBackend` across which pure stages fan out
-    (``None`` runs every stage inline).  ``clock`` is the timing
+    :class:`~repro.exec.ProcessBackend` across which pure stages fan
+    out (``None`` runs every stage inline).  ``clock`` is the timing
     source for per-stage wall time (defaults to the monotonic
     performance counter); it is used for reporting only and never
     influences the documents.
@@ -194,8 +192,7 @@ class PipelineRunner:
         reaches a runner built long before tracing was activated).
 
         ``backend`` is borrowed: the runner never closes it, so one
-        backend can serve many runs — and the sharded analytics that
-        follow them.
+        pool can serve many runs.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -229,14 +226,10 @@ class PipelineRunner:
         """Run every stage over ``documents``; returns a result with
         surviving documents in corpus order plus the stage report.
 
-        The runner's warm backend serves every parallel stage of every
-        run; parallel output stays bit-identical to serial on all
-        backends (order-preserving map, pure stages only).
+        The runner's warm pool serves every parallel stage of every
+        run; parallel output stays bit-identical to inline execution
+        (order-preserving map, pure stages only).
         """
-        return self._run(documents, self._backend)
-
-    def _run(self, documents, backend):
-        """The run body, executing parallel stages on ``backend``."""
         tracer = self._tracer if self._tracer is not None else get_tracer()
         metrics = (
             self._metrics if self._metrics is not None else get_metrics()
@@ -251,9 +244,7 @@ class PipelineRunner:
             tags={"docs_in": len(live), "stages": len(self.stages)},
         ) as run_span:
             for stage in self.stages:
-                live, stats = self._run_stage(
-                    stage, live, tracer, backend
-                )
+                live, stats = self._run_stage(stage, live, tracer)
                 report.stages.append(stats)
                 discarded_here = [doc for doc in live if doc.discarded]
                 if discarded_here:
@@ -276,17 +267,18 @@ class PipelineRunner:
             documents=live, discarded=all_discarded, report=report
         )
 
-    def _run_stage(self, stage, live, tracer, backend):
+    def _run_stage(self, stage, live, tracer):
         """Run one stage over all live documents, batched.
 
-        ``backend`` is the runner's warm executor (None when the
-        runner is serial); pure stages with more than one batch map
-        across it.
+        A pure stage with more than one batch maps across the runner's
+        pool (when it has one of more than one worker); everything else
+        runs inline.
         """
         batches = _batched(live, self.batch_size)
+        backend = self._backend
         use_parallel = (
             backend is not None
-            and backend.can_fan_out()
+            and backend.workers > 1
             and stage.pure
             and len(batches) > 1
         )
@@ -296,59 +288,37 @@ class PipelineRunner:
             batches=len(batches),
             parallel=use_parallel,
         )
-        tags = {
-            "docs_in": len(live),
-            "batches": len(batches),
-            "parallel": use_parallel,
-        }
-        if use_parallel:
-            tags["backend"] = backend.kind
         with tracer.span(
             f"stage:{stage.stage_name}",
             category="engine",
-            tags=tags,
-        ) as stage_span:
-
-            def process(index, batch):
-                # Explicit parent: worker threads have no span stack,
-                # so thread-local nesting alone would orphan batches.
-                with tracer.span(
-                    "batch",
-                    category="engine",
-                    tags={"batch": index, "docs": len(batch)},
-                    parent=stage_span,
-                ):
-                    return stage.process(batch)
-
+            tags={
+                "docs_in": len(live),
+                "batches": len(batches),
+                "parallel": use_parallel,
+            },
+        ):
             started = self._clock()
-            if use_parallel and backend.requires_pickling:
-                # Across a process boundary the batch travels inside a
-                # picklable envelope; per-batch child spans are skipped
-                # (the parent tracer is unreachable from a worker), and
-                # because observability is write-only, skipping them
-                # cannot change any document.  Order preservation keeps
-                # output identical to serial.
+            if use_parallel:
+                # Each batch travels inside a picklable envelope and
+                # the map returns results in submission order, so the
+                # output is identical to the inline run.  Per-batch
+                # child spans are skipped (a worker cannot reach this
+                # tracer); observability is write-only, so skipping
+                # them cannot change any document.
                 out_batches = backend.map(
                     _StageTask(stage),
                     batches,
                     label=f"stage:{stage.stage_name}",
                 )
-            elif use_parallel:
-                # Order-preserving map: the backend yields results in
-                # submission order, so output order (and therefore
-                # every downstream computation) matches serial
-                # execution exactly.
-                out_batches = backend.map(
-                    process,
-                    range(len(batches)),
-                    batches,
-                    label=f"stage:{stage.stage_name}",
-                )
             else:
-                out_batches = [
-                    process(index, batch)
-                    for index, batch in enumerate(batches)
-                ]
+                out_batches = []
+                for index, batch in enumerate(batches):
+                    with tracer.span(
+                        "batch",
+                        category="engine",
+                        tags={"batch": index, "docs": len(batch)},
+                    ):
+                        out_batches.append(stage.process(batch))
             stats.wall_time = self._clock() - started
         out = []
         for batch_in, batch_out in zip(batches, out_batches):

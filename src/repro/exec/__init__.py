@@ -1,37 +1,23 @@
-"""Pluggable execution backends: serial, thread and process fan-out.
+"""Process-pool fan-out for pure pipeline stages.
 
-One protocol — :class:`~repro.exec.backend.ExecBackend` with an
-order-preserving ``map`` — behind every parallel hot path in the
-reproduction: the engine's pure-stage batches, the mining algebra's
-per-shard partials and the serving layer's per-shard query partials.
-The backends differ only in *where* tasks run (inline, a warm thread
-pool, a warm process pool); because every caller folds results in
-submission order, each backend is bit-identical to serial execution.
+One backend — :class:`~repro.exec.procpool.ProcessBackend`, a warm
+process pool behind an order-preserving ``map`` — serves the one place
+where fan-out pays: the pure per-document stages of a pipeline run
+(annotation, entity linking).  Because the runner folds results in
+submission order, pooled output is bit-identical to the inline run.
+Analytics and serving always run inline; threads never paid under the
+GIL, and per-shard partials cost less to compute than to pickle.
 
-Every fan-out entry point takes one ``backend`` argument: a ready
-backend or ``None`` for inline execution.  Whoever calls
-:func:`make_backend` closes the backend; runners, engines and
-consumers only borrow it.  See DESIGN.md §15 for the protocol, the
-pickling contract of the process backend and the merge-determinism
-argument.
+:func:`process_pool` is the one rule callers share: no pool for
+``workers <= 1``, a ``ProcessBackend(workers)`` otherwise, closed when
+the ``with`` block exits.  Runners and consumers only borrow it.  See
+DESIGN.md §15 for the pickling contract and the measurements.
 """
 
-from repro.exec.backend import (
-    BACKEND_KINDS,
-    BackendError,
-    ExecBackend,
-    SerialBackend,
-    ThreadBackend,
-)
-from repro.exec.factory import make_backend
-from repro.exec.procpool import ProcessBackend
+from repro.exec.procpool import BackendError, ProcessBackend, process_pool
 
 __all__ = [
-    "BACKEND_KINDS",
     "BackendError",
-    "ExecBackend",
     "ProcessBackend",
-    "SerialBackend",
-    "ThreadBackend",
-    "make_backend",
+    "process_pool",
 ]

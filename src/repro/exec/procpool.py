@@ -1,24 +1,22 @@
-"""The multiprocess backend: a warm ProcessPoolExecutor behind ``map``.
+"""The process backend: a warm ProcessPoolExecutor behind ``map``.
 
 :class:`ProcessBackend` escapes the GIL for CPU-bound fan-out — the
-paper's workloads (concept indexing, association mining, churn
-analysis) are pure Python compute, where thread pools only interleave.
+per-document pipeline stages (annotation, entity linking) are pure
+Python compute, where a thread pool only interleaves.
 
-The contract stacks three guarantees on top of
-:class:`~repro.exec.backend.ExecBackend`:
+The contract has three parts:
 
 * **Picklable task envelopes** — everything shipped to a worker must
-  pickle, which is why callers hand this backend module-level envelope
-  objects (the engine's stage task, the algebra's partial task), never
-  span-opening closures.  An unpicklable payload raises a clear
-  :class:`~repro.exec.backend.BackendError` naming the work unit
-  *before* any task is submitted, so a poisoned payload can never
-  wedge the warm pool.
+  pickle, which is why the runner hands this backend a module-level
+  envelope (its stage task), never a span-opening closure.  An
+  unpicklable payload raises a clear :class:`BackendError` naming the
+  work unit *before* any task is submitted, so a poisoned payload can
+  never wedge the warm pool.
 * **Chunked, order-preserving map** — tasks travel in contiguous
-  chunks (``ceil(n / (workers * 4))`` by default, so each worker sees
-  a handful of chunks for load balance) and results come back in
-  submission order regardless of completion order, keeping every
-  caller's left-fold merge bit-identical to serial.
+  chunks (``ceil(n / (workers * 4))``, so each worker sees a handful
+  of chunks for load balance) and results come back in submission
+  order regardless of completion order, keeping every caller's
+  left-fold bit-identical to the inline run.
 * **Worker warm-reuse and clean teardown** — the pool spawns lazily on
   the first real fan-out and is reused across calls; ``close`` (also
   run by context-exit and on ``KeyboardInterrupt`` during a map) shuts
@@ -27,54 +25,70 @@ The contract stacks three guarantees on top of
 A task that raises in a worker propagates the *original* exception to
 the caller, with the worker-side traceback chained on (the stdlib
 attaches it as ``__cause__``), so an injected ``fault_point`` crash in
-one worker reads exactly like the serial failure would.
+one worker reads exactly like the inline failure would.
 
 Spawn-safety: envelopes are defined at module level and hold only
 picklable state, so the backend works under the ``spawn`` start method
 (fresh interpreters) as well as ``fork``.  Result determinism does not
-depend on the child interpreter's hash randomization — every analytic
-finalize sorts before emitting — which is asserted by the equivalence
-suites in ``tests/prop`` and ``tests/exec``.
+depend on the child interpreter's hash randomization, which the
+equivalence suites in ``tests/prop`` and ``tests/exec`` assert.
+
+Observability is write-only: each fan-out records task, worker and
+chunk counts on the ambient metrics registry and never feeds anything
+back into results.
 """
 
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from multiprocessing import get_context
 
-from repro.exec.backend import BackendError, ExecBackend, _materialize
+from repro.obs import get_metrics
 
 
-class ProcessBackend(ExecBackend):
+class BackendError(RuntimeError):
+    """A task payload the backend cannot execute (e.g. unpicklable)."""
+
+
+def _materialize(columns):
+    """Concrete equal-length argument columns for one ``map`` call."""
+    made = [list(column) for column in columns]
+    lengths = {len(column) for column in made}
+    if len(lengths) > 1:
+        raise ValueError(
+            f"map columns must have equal lengths, got {sorted(lengths)}"
+        )
+    return made, (lengths.pop() if lengths else 0)
+
+
+class ProcessBackend:
     """A warm, reused :class:`ProcessPoolExecutor` behind ``map``.
 
-    ``workers`` is the pool width; ``chunk_size`` overrides the
-    computed chunking; ``mp_context`` selects the multiprocessing
-    start method (``"fork"`` / ``"spawn"`` / ``"forkserver"`` or a
-    ready context object; ``None`` keeps the platform default).
-    ``workers <= 1`` — or a single task — degrades to inline
-    execution without ever spawning a pool.
+    ``workers`` is the pool width; ``mp_context`` selects the
+    multiprocessing start method (``"fork"`` / ``"spawn"`` /
+    ``"forkserver"`` or a ready context object; ``None`` keeps the
+    platform default).  ``workers <= 1`` — or a single task — degrades
+    to inline execution without ever spawning a pool.
     """
 
-    kind = "process"
-    requires_pickling = True
-
-    def __init__(self, workers, chunk_size=None, mp_context=None):
+    def __init__(self, workers, mp_context=None):
         """See the class docstring for the knobs."""
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(
-                f"chunk_size must be >= 1, got {chunk_size}"
-            )
         self.workers = workers
-        self.chunk_size = chunk_size
         self._mp_context = mp_context
         self._pool = None
 
-    def effective_workers(self):
-        """The configured pool width."""
-        return self.workers
+    def __enter__(self):
+        """Context manager: the backend itself."""
+        return self
+
+    def __exit__(self, exc_type, exc_value, traceback):
+        """Context-manager exit always closes — ``KeyboardInterrupt``
+        included, so an interrupted run never strands workers."""
+        self.close()
+        return False
 
     def _ensure_pool(self):
         """The warm pool, spawned lazily on first real fan-out."""
@@ -89,8 +103,6 @@ class ProcessBackend(ExecBackend):
 
     def _chunk_for(self, count):
         """Chunk size for ``count`` tasks (about 4 chunks per worker)."""
-        if self.chunk_size is not None:
-            return self.chunk_size
         return max(1, -(-count // (self.workers * 4)))
 
     def _preflight(self, fn, label):
@@ -106,17 +118,20 @@ class ProcessBackend(ExecBackend):
             what = label if label is not None else repr(fn)
             raise BackendError(
                 f"{what} is not picklable and cannot cross the process "
-                f"boundary ({exc}); run it on the serial or thread "
-                f"backend, or make the payload picklable"
+                f"boundary ({exc}); run it inline (workers <= 1), or "
+                f"make the payload picklable"
             ) from exc
 
     def map(self, fn, *columns, label=None):
-        """Chunked order-preserving map on the warm process pool.
+        """``[fn(*args) for args in zip(*columns)]`` on the warm pool.
 
-        A worker-side exception re-raises here as the original
-        exception type with the remote traceback chained; the pool
-        stays warm.  ``KeyboardInterrupt`` while collecting results
-        shuts the pool down before propagating.
+        Results come back in submission order regardless of completion
+        order — the property every caller's left-fold relies on.
+        ``label`` names the work unit (a stage) for error messages.  A
+        worker-side exception re-raises here as the original exception
+        type with the remote traceback chained; the pool stays warm.
+        ``KeyboardInterrupt`` while collecting results shuts the pool
+        down before propagating.
         """
         made, count = _materialize(columns)
         if self.workers <= 1 or count <= 1:
@@ -141,8 +156,31 @@ class ProcessBackend(ExecBackend):
         self._record(count, chunks=-(-count // chunk))
         return results
 
+    def _record(self, tasks, chunks=1):
+        """Write-only metrics for one fan-out (never read back)."""
+        metrics = get_metrics()
+        metrics.counter("exec.map.process").inc()
+        metrics.counter("exec.tasks").inc(tasks)
+        metrics.gauge("exec.workers").set(self.workers)
+        metrics.gauge("exec.chunks").set(chunks)
+
     def close(self):
         """Shut the worker pool down (idempotent)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
+
+
+@contextmanager
+def process_pool(workers):
+    """The execution backend for ``workers``, closed on exit.
+
+    Yields ``None`` (inline execution) for ``workers <= 1`` and a
+    :class:`ProcessBackend` of that width otherwise.  The caller owns
+    it; the runners and consumers it is passed to only borrow it.
+    """
+    if workers <= 1:
+        yield None
+        return
+    with ProcessBackend(workers) as backend:
+        yield backend

@@ -14,49 +14,23 @@ the unsharded code path.  That is the monoid contract
 :class:`PartialAggregate` pins down and
 :func:`compute` executes.
 
-``compute`` runs the partials serially by default, or order-preserved
-across a caller's execution backend (see :mod:`repro.exec`) — a
-thread backend or the multiprocess backend.  Because
-``merge`` folds the partials left-to-right in shard order either way,
-parallel execution is bit-identical to serial on every backend.  On
-the process backend the *partial states* cross the boundary, never the
-finalized results: states are integers only (exactly picklable, no
-float representation to disturb) and ``merge``/``finalize`` run in the
-parent, so the float derivation happens once, in one process, in the
-same order as serial.  Each analytic run opens an ``analytic:<name>``
-span with per-shard ``analytic:partial`` children and one
-``analytic:merge`` child, and reports shard-count and skew gauges —
-write-only observability, exactly like the engine's.  (Partial child
-spans are skipped on process backends, where the parent tracer is
-unreachable from a worker; write-only observability means that cannot
-change any result.)
+``compute`` runs the partials inline, one shard after another, and
+folds them left-to-right in shard order: pickling a shard to a worker
+process costs more than scanning it, and threads lose to the inline
+loop under the GIL (DESIGN.md §15).  Each analytic run opens an
+``analytic:<name>`` span with per-shard ``analytic:partial`` children
+and one ``analytic:merge`` child, and reports shard-count and skew
+gauges — write-only observability, exactly like the engine's.
 
 Aggregates double as ``bivoc effects`` subjects: the base class
 declares ``pure = True`` and aliases the engine's ``process`` entry to
 ``partial``, so the checker structurally discovers every concrete
 aggregate and verifies its partial chain is free of shared-state
-writes — the property that makes the thread-pool fan-out safe.
+writes — the property that keeps every partial independent of the
+others and of its shard's position.
 """
 
 from repro.obs import get_metrics, get_tracer
-
-
-class _PartialTask:
-    """Picklable envelope computing one shard's partial state.
-
-    Defined at module level (spawn-safe) and holding only the
-    aggregate, so it crosses process boundaries whenever the aggregate
-    pickles; the returned state is integers only, so the result
-    round-trips exactly.
-    """
-
-    def __init__(self, aggregate):
-        """``aggregate`` is the PartialAggregate to apply per shard."""
-        self.aggregate = aggregate
-
-    def __call__(self, shard):
-        """One shard's partial state."""
-        return self.aggregate.partial(shard)
 
 
 def iter_shards(index):
@@ -97,8 +71,7 @@ class PartialAggregate:
 
     ``pure``/``process`` make every aggregate a structurally
     discovered ``bivoc effects`` stage: partials must not write shared
-    state, which is exactly what lets :func:`compute` fan them across
-    the engine's thread pool with bit-identical results.
+    state, so each shard's partial depends on that shard alone.
     """
 
     #: Analytic name, used for span labels and metrics.
@@ -136,18 +109,12 @@ class PartialAggregate:
         return self.partial(shard)
 
 
-def compute(aggregate, index, backend=None, tracer=None, metrics=None):
+def compute(aggregate, index, tracer=None, metrics=None):
     """Execute one aggregate over an index through the algebra.
 
-    Partials run per shard — inline, or order-preserved on
-    ``backend`` (a ready :class:`~repro.exec.ExecBackend`, borrowed
-    and never closed here) when the index has more than one shard —
-    then merge left-to-right in shard order from
-    :meth:`PartialAggregate.identity`, so the fold order (and
-    therefore the result) never depends on scheduling.  On backends
-    that pickle across a process boundary, the integer partial
-    *states* travel back and ``merge``/``finalize`` run here, in the
-    parent (see the module docstring).
+    Partials run per shard, inline, then merge left-to-right in shard
+    order from :meth:`PartialAggregate.identity`, and ``finalize``
+    derives the result from the merged integers.
 
     ``tracer``/``metrics`` default to the ambient observability
     collectors; everything recorded is write-only and never feeds back
@@ -160,50 +127,19 @@ def compute(aggregate, index, backend=None, tracer=None, metrics=None):
         f"analytic:{aggregate.analytic}",
         category="mining",
         tags={"shards": len(shards), "docs": len(index)},
-    ) as run_span:
-
-        def run_partial(number, shard):
-            # Explicit parent: pool threads have no span stack.
+    ):
+        partials = []
+        for number, shard in enumerate(shards):
             with tracer.span(
                 "analytic:partial",
                 category="mining",
                 tags={"shard": number, "docs": len(shard)},
-                parent=run_span,
             ):
-                return aggregate.partial(shard)
-
-        fan_out = (
-            backend is not None
-            and backend.can_fan_out()
-            and len(shards) > 1
-        )
-        if fan_out and backend.requires_pickling:
-            # Ship the envelope, get integer states back in shard
-            # order; merge and finalize stay in this process.
-            partials = backend.map(
-                _PartialTask(aggregate),
-                shards,
-                label=f"analytic:{aggregate.analytic}",
-            )
-        elif fan_out:
-            # Order-preserving map: results come back in shard order,
-            # so the merge fold below is identical to the serial path.
-            partials = backend.map(
-                run_partial,
-                range(len(shards)),
-                shards,
-                label=f"analytic:{aggregate.analytic}",
-            )
-        else:
-            partials = [
-                run_partial(number, shard)
-                for number, shard in enumerate(shards)
-            ]
+                partials.append(aggregate.partial(shard))
         with tracer.span(
             "analytic:merge",
             category="mining",
             tags={"partials": len(partials)},
-            parent=run_span,
         ):
             state = aggregate.identity()
             for part in partials:

@@ -207,12 +207,11 @@ class ConceptCubeAggregate(PartialAggregate):
         return ConceptCube(index, self.dimensions, cells=state)
 
 
-def concept_cube(index, dimensions, backend=None):
+def concept_cube(index, dimensions):
     """Materialise a :class:`ConceptCube` through the algebra.
 
-    Per shard on a sharded index (optionally across an execution
-    ``backend``), as one degenerate partial on a single index — the
-    resulting cube is bit-identical to ``ConceptCube(index,
+    Per shard on a sharded index, as one degenerate partial on a single
+    index — the resulting cube is bit-identical to ``ConceptCube(index,
     dimensions)`` either way.
     """
-    return compute(ConceptCubeAggregate(dimensions), index, backend=backend)
+    return compute(ConceptCubeAggregate(dimensions), index)

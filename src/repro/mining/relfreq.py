@@ -135,7 +135,7 @@ class RelativeFrequencyAggregate(PartialAggregate):
 
 
 def relative_frequency(index, focus_keys, candidate_dimension,
-                       min_focus_count=1, backend=None):
+                       min_focus_count=1):
     """Rank the concepts of a dimension by relative frequency.
 
     ``focus_keys`` select the focus subset (documents carrying *all* of
@@ -144,9 +144,8 @@ def relative_frequency(index, focus_keys, candidate_dimension,
     are ranked by how over-represented they are inside the subset.
 
     Runs through the partial-aggregate algebra: per shard on a sharded
-    index (optionally across an execution ``backend``), as
-    one degenerate partial on a single index — bit-identical either
-    way.
+    index, as one degenerate partial on a single index — bit-identical
+    either way.
 
     Returns :class:`RelevancyResult` objects, most over-represented
     first (ties broken by key, so the order is deterministic).
@@ -154,4 +153,4 @@ def relative_frequency(index, focus_keys, candidate_dimension,
     aggregate = RelativeFrequencyAggregate(
         focus_keys, candidate_dimension, min_focus_count=min_focus_count
     )
-    return compute(aggregate, index, backend=backend)
+    return compute(aggregate, index)

@@ -132,7 +132,7 @@ class EmergingConceptsAggregate(PartialAggregate):
         return results
 
 
-def trend_series(index, key, buckets=None, backend=None):
+def trend_series(index, key, buckets=None):
     """Occurrences of ``key`` per time bucket.
 
     Documents indexed without a timestamp are skipped.  Returns a list
@@ -143,16 +143,12 @@ def trend_series(index, key, buckets=None, backend=None):
     periods are reported as zeros rather than silently dropped.
 
     Runs through the partial-aggregate algebra (per shard on a sharded
-    index, optionally across an execution ``backend``) — bit-identical
-    to the single-index computation.
+    index) — bit-identical to the single-index computation.
     """
-    return compute(
-        TrendSeriesAggregate(key, buckets=buckets), index, backend=backend
-    )
+    return compute(TrendSeriesAggregate(key, buckets=buckets), index)
 
 
-def emerging_concepts(index, dimension, buckets=None, min_total=3,
-                      backend=None):
+def emerging_concepts(index, dimension, buckets=None, min_total=3):
     """Concepts of a dimension ranked by rising trend.
 
     Returns ``(key, slope, total)`` tuples, steepest rise first —
@@ -161,13 +157,12 @@ def emerging_concepts(index, dimension, buckets=None, min_total=3,
     occurrences are dropped (their slopes are noise).
 
     Runs through the partial-aggregate algebra (per shard on a sharded
-    index, optionally across an execution ``backend``) — bit-identical
-    to the single-index computation.
+    index) — bit-identical to the single-index computation.
     """
     aggregate = EmergingConceptsAggregate(
         dimension, buckets=buckets, min_total=min_total
     )
-    return compute(aggregate, index, backend=backend)
+    return compute(aggregate, index)
 
 
 def trend_slope(series):

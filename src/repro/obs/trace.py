@@ -20,10 +20,9 @@ Design constraints, in order:
   ``span()`` returns one shared no-op context manager; instrumented
   hot paths pay a dict lookup and a no-op call, nothing else.
 * **Thread-correct nesting.**  Parent linkage uses a per-thread span
-  stack, so spans opened inside the engine's worker threads nest under
-  the span their thread entered; callers that fan work out across
-  threads (the batch executor) pass ``parent=`` explicitly to keep the
-  stage -> batch hierarchy intact.
+  stack, so spans opened on a thread (an HTTP request handler, the
+  ingest thread) nest under the span that thread entered; a caller
+  that hands work to another thread passes ``parent=`` explicitly.
 """
 
 import threading
@@ -111,8 +110,9 @@ class Tracer:
     counter); it is read on span entry and exit only.  Span ids are
     dense integers in open order; finished spans are available from
     :meth:`finished` in close order.  The tracer is safe to use from
-    the engine's worker threads: id allocation and the finished list
-    are lock-protected, and parent tracking is per-thread.
+    several threads (HTTP request handlers, the ingest thread): id
+    allocation and the finished list are lock-protected, and parent
+    tracking is per-thread.
     """
 
     def __init__(self, clock=None):
@@ -128,9 +128,9 @@ class Tracer:
     def span(self, name, category="", tags=None, parent=None):
         """A context manager that times one region.
 
-        ``parent`` overrides the per-thread nesting (pass the stage
-        span when fanning batches out across worker threads); ``tags``
-        seeds the span's tag dict.
+        ``parent`` overrides the per-thread nesting (pass the enclosing
+        span when opening one on another thread); ``tags`` seeds the
+        span's tag dict.
         """
         return _SpanContext(self, name, category, tags, parent)
 

@@ -2,7 +2,7 @@
 
 The repo's correctness story is a stack of bit-identity invariants,
 each guarded by its own suite: sharded analytics equal the single
-index (``tests/mining``), every execution backend equals serial
+index (``tests/mining``), the process pool equals inline execution
 (``tests/engine``, ``tests/exec``), a crash/resume stream equals the
 uninterrupted run (``tests/stream``), and a traced run equals an
 untraced one (``tests/obs``).  Those suites pin hand-picked corpora
@@ -15,13 +15,12 @@ bugs hide.
 Everything derives from :func:`~repro.util.rng.derive_rng`, so a
 failing seed is a complete reproduction recipe: the CI failure message
 prints ``bivoc prop --seed N`` and that command replays the identical
-corpus, shard count, batch size, worker count and backend locally.
+corpus, shard count, batch size and worker count locally.
 
 The oracle is :func:`check_equivalences`; the generator is
 :func:`generate_case`.  Stages here are module-level classes holding
-only picklable state, so the generated cases can run on the process
-backend (spawn-safe envelopes) exactly like the thread and serial
-ones.
+only picklable state, so the generated cases run on the process pool
+(spawn-safe envelopes) exactly like inline.
 """
 
 import os
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 from repro.engine import Document, MapStage, PipelineRunner
 from repro.annotation.dictionary import DictionaryEntry, DomainDictionary
 from repro.annotation.matcher import AnnotationEngine
-from repro.exec import BACKEND_KINDS, make_backend
+from repro.exec import process_pool
 from repro.mining.assoc2d import associate
 from repro.mining.index import field_key
 from repro.mining.olap import concept_cube
@@ -129,8 +128,7 @@ class PropCase:
     channels: tuple      # channel mix (1-3 of CHANNELS)
     shards: int          # hash-partition count for the sharded runs
     batch_size: int      # pipeline-runner batch size
-    workers: int         # fan-out width for parallel runs
-    backend: str         # backend kind the stream/traced checks use
+    workers: int         # process-pool width for pooled runs
     batch_docs: int      # stream micro-batch size
     checkpoint_interval: int  # micro-batches between checkpoints
     crash_after: int     # committed batches before the injected crash
@@ -140,7 +138,7 @@ class PropCase:
         return (
             f"{self.n_docs} docs over {list(self.channels)}, "
             f"{self.shards} shards, batch_size={self.batch_size}, "
-            f"workers={self.workers}, backend={self.backend}, "
+            f"workers={self.workers}, "
             f"stream batch_docs={self.batch_docs} "
             f"interval={self.checkpoint_interval} "
             f"crash_after={self.crash_after}"
@@ -154,7 +152,6 @@ def generate_case(seed):
     channel_picks = rng.choice(
         len(CHANNELS), size=n_channels, replace=False
     )
-    backend = BACKEND_KINDS[int(rng.integers(0, len(BACKEND_KINDS)))]
     return PropCase(
         seed=seed,
         n_docs=int(rng.integers(24, 97)),
@@ -162,7 +159,6 @@ def generate_case(seed):
         shards=int(rng.integers(1, 9)),
         batch_size=int(rng.integers(4, 33)),
         workers=int(rng.integers(2, 5)),
-        backend=backend,
         batch_docs=int(rng.integers(5, 20)),
         checkpoint_interval=int(rng.integers(1, 4)),
         crash_after=int(rng.integers(1, 3)),
@@ -216,58 +212,46 @@ def build_stages(shards):
     ]
 
 
-def run_analytics(case, index, backend=None):
+def run_analytics(case, index):
     """Every mining analytic over ``index``, as comparable values.
 
     Returns a plain dict of tuples/lists/dataclasses so ``==`` between
     two runs is exact and a mismatch names the analytic that diverged.
     """
     focus = (field_key("channel", case.channels[0]),)
-    table = associate(
-        index, TOPIC_DIMENSION, ("field", "channel"), backend=backend
-    )
-    cube = concept_cube(
-        index, (TOPIC_DIMENSION, ("field", "channel")), backend=backend
-    )
+    table = associate(index, TOPIC_DIMENSION, ("field", "channel"))
+    cube = concept_cube(index, (TOPIC_DIMENSION, ("field", "channel")))
     return {
         "relative_frequency": relative_frequency(
-            index, focus, TOPIC_DIMENSION, backend=backend
+            index, focus, TOPIC_DIMENSION
         ),
         "association_cells": table.cells(),
         "association_shares": table.row_share_matrix(),
         "trend_series": [
-            trend_series(index, key, backend=backend)
+            trend_series(index, key)
             for key in index.keys_of_dimension(TOPIC_DIMENSION)
         ],
         "emerging_concepts": emerging_concepts(
-            index, TOPIC_DIMENSION, min_total=1, backend=backend
+            index, TOPIC_DIMENSION, min_total=1
         ),
         "cube_cells": cube.cells(),
     }
 
 
-def run_batch(case, kind=None, shards=0):
+def run_batch(case, workers=0, shards=0):
     """One batch pipeline + analytics run of ``case``.
 
-    ``kind=None`` is the serial reference (no backend object at all);
-    a backend kind name builds one sized to ``case.workers``, shares
-    it between the pipeline runner and every analytic (warm reuse,
-    exactly how the CLI wires it), and closes it afterwards.
-    ``shards=0`` runs the single-index layout.
+    ``workers=0`` is the inline reference; ``workers > 1`` runs the
+    pipeline's pure stages on a process pool of that width, exactly
+    how the CLI wires ``--workers``.  ``shards=0`` runs the
+    single-index layout.
     """
-    backend = (
-        make_backend(kind, workers=case.workers)
-        if kind is not None else None
-    )
-    try:
-        stages = build_stages(shards)
+    stages = build_stages(shards)
+    with process_pool(workers) as backend:
         PipelineRunner(
             stages, batch_size=case.batch_size, backend=backend
         ).run(make_documents(case))
-        return run_analytics(case, stages[-1].index, backend=backend)
-    finally:
-        if backend is not None:
-            backend.close()
+    return run_analytics(case, stages[-1].index)
 
 
 class _PropCrash(RuntimeError):
@@ -297,7 +281,10 @@ def _build_consumer(case, backend, checkpoint_path=None,
 
     Arrival order is (time bucket, generation order) — deterministic,
     so the crashed, resumed and uninterrupted runs all see the same
-    stream.  ``backend`` is borrowed from the caller.
+    stream.  Micro-batches split into runner batches of
+    ``case.batch_size``, so a micro-batch larger than that fans out
+    across a pool.  ``backend`` (a process pool or ``None``) is
+    borrowed from the caller.
     """
     documents = make_documents(case)
     records = sorted(
@@ -312,6 +299,7 @@ def _build_consumer(case, backend, checkpoint_path=None,
         ),
         batch_docs=case.batch_docs,
         checkpoint_interval=case.checkpoint_interval,
+        runner_batch_size=case.batch_size,
         backend=backend,
         failpoint=(
             _CrashOnce(crash_after) if crash_after is not None else None
@@ -320,17 +308,17 @@ def _build_consumer(case, backend, checkpoint_path=None,
 
 
 def run_stream_reference(case):
-    """Final index state of the uninterrupted streaming run."""
-    with make_backend(case.backend, workers=case.workers) as backend:
-        consumer = _build_consumer(case, backend)
-        consumer.run()
-        return index_to_state(consumer.index)
+    """Final index state of the uninterrupted, inline streaming run."""
+    consumer = _build_consumer(case, None)
+    consumer.run()
+    return index_to_state(consumer.index)
 
 
 def run_stream_resumed(case, tmpdir):
-    """Final index state after an injected crash and a cold resume."""
+    """Final index state after an injected crash and a cold resume,
+    both runs on one process pool of ``case.workers``."""
     checkpoint_path = os.path.join(tmpdir, "prop-checkpoint.json")
-    with make_backend(case.backend, workers=case.workers) as backend:
+    with process_pool(case.workers) as backend:
         crashed = _build_consumer(
             case, backend, checkpoint_path, crash_after=case.crash_after
         )
@@ -375,14 +363,14 @@ def check_equivalences(seed):
 
     1. **sharded == single-index** — the partial/merge/finalize
        algebra is layout-invariant;
-    2. **every backend == serial** — serial, thread and process
-       execution produce bit-identical analytics (shards and fan-out
-       armed);
+    2. **process pool == inline** — running the pure stages on a
+       process pool of ``case.workers`` produces bit-identical
+       analytics (shards armed);
     3. **traced == untraced** — running under an active tracer and
        metrics registry changes nothing (observability is write-only);
     4. **stream crash/resume == uninterrupted** — an injected crash
-       plus a checkpoint resume converges to the uninterrupted run's
-       exact index state.
+       plus a checkpoint resume, on the process pool, converges to the
+       inline uninterrupted run's exact index state.
 
     Raises :class:`AssertionError` naming the violated property and
     the single-command repro line; returns the generated
@@ -394,15 +382,14 @@ def check_equivalences(seed):
     sharded = run_batch(case, shards=case.shards)
     _check("sharded == single-index", reference, sharded, case)
 
-    per_kind = {}
-    for kind in BACKEND_KINDS:
-        per_kind[kind] = run_batch(case, kind=kind, shards=case.shards)
-        _check(f"{kind} backend == serial", reference, per_kind[kind],
-               case)
+    pooled = run_batch(case, workers=case.workers, shards=case.shards)
+    _check("process pool == inline", reference, pooled, case)
 
     with activated(Tracer(), MetricsRegistry()):
-        traced = run_batch(case, kind=case.backend, shards=case.shards)
-    _check("traced == untraced", per_kind[case.backend], traced, case)
+        traced = run_batch(
+            case, workers=case.workers, shards=case.shards
+        )
+    _check("traced == untraced", pooled, traced, case)
 
     expected_state = run_stream_reference(case)
     with tempfile.TemporaryDirectory() as tmpdir:

@@ -15,8 +15,8 @@ bit-identical to the batch computations:
   carry the epoch, so advancing the stream invalidates every stale
   entry by construction and a cached result can never be stale;
 * :mod:`~repro.serve.engine` — :class:`QueryEngine`, executing specs
-  against the current :class:`~repro.stream.epoch.EpochStore` snapshot
-  on an optional borrowed execution backend, with ``query:*`` spans
+  against the current :class:`~repro.stream.epoch.EpochStore` snapshot,
+  with ``query:*`` spans
   and latency/cache metrics (write-only: cached == uncached ==
   untraced) — plus the
   resilience hooks: retries with deadlines around execution, and

@@ -9,10 +9,10 @@ callers that need read-your-writes can compare it to the consumer's
 committed offset.
 
 Execution reuses the partial-aggregate machinery verbatim: the engine
-hands :func:`~repro.serve.queries.plan_query` the snapshot plus its
-borrowed execution backend, exactly the arguments a batch caller
-would pass, which is what makes the served ``==`` bit-identity
-contract hold by construction rather than by testing luck.
+hands :func:`~repro.serve.queries.plan_query` the snapshot, exactly
+the argument a batch caller would pass, which is what makes the served
+``==`` bit-identity contract hold by construction rather than by
+testing luck.
 
 The engine is also where the resilience layer meets serving:
 
@@ -75,11 +75,8 @@ class QueryEngine:
     """Plans declarative specs onto the current epoch snapshot.
 
     ``epochs`` is the :class:`~repro.stream.epoch.EpochStore` the
-    ingesting consumer publishes into.  ``backend`` is a ready
-    :class:`~repro.exec.ExecBackend` reused by every query's per-shard
-    partials (``None`` runs them inline); the engine borrows it, and
-    whoever built it closes it.  ``cache``
-    is an optional :class:`~repro.serve.cache.QueryCache`; the engine
+    ingesting consumer publishes into; queries run inline on the
+    calling thread.  ``cache`` is an optional :class:`~repro.serve.cache.QueryCache`; the engine
     evicts entries below the current epoch whenever it observes an
     advance.  ``clock`` injects the latency time source (defaults to
     ``time.perf_counter``); timing is observability-only.
@@ -91,12 +88,12 @@ class QueryEngine:
     ``breakers`` is an optional
     :class:`~repro.faults.breaker.BreakerBoard` keyed by query kind.
 
-    Thread-safe: concurrent ``query()`` calls share the backend, the
-    cache, the breakers, the last-good store and the epoch store, each
+    Thread-safe: concurrent ``query()`` calls share the cache, the
+    breakers, the last-good store and the epoch store, each
     of which carries its own lock.
     """
 
-    def __init__(self, epochs, backend=None, cache=None, clock=None,
+    def __init__(self, epochs, cache=None, clock=None,
                  retry=None, retry_sleep=None, deadline_ms=None,
                  breakers=None):
         """See the class docstring for the knobs."""
@@ -111,7 +108,6 @@ class QueryEngine:
         self.breakers = breakers
         self._retry_sleep = retry_sleep
         self._clock = clock if clock is not None else time.perf_counter
-        self._backend = backend
         self._purge_lock = Lock()
         self._purged_below = None  # highest epoch we evicted below
         self._last_good_lock = Lock()
@@ -196,9 +192,7 @@ class QueryEngine:
 
                 def compute():
                     fault_point("query.execute")
-                    return plan_query(
-                        spec, snapshot.index, backend=self._backend
-                    )
+                    return plan_query(spec, snapshot.index)
 
                 if self.retry is not None:
                     value = call_with_retry(
@@ -275,21 +269,13 @@ class QueryEngine:
         body["cache"] = (
             None if self.cache is None else self.cache.stats()
         )
-        body["workers"] = (
-            self._backend.effective_workers()
-            if self._backend is not None
-            else 0
-        )
-        body["backend"] = (
-            self._backend.kind if self._backend is not None else "serial"
-        )
         body["breakers"] = (
             None if self.breakers is None else self.breakers.states()
         )
         return body
 
     def close(self):
-        """Nothing to release: the backend is borrowed, not owned."""
+        """Nothing to release (kept for the context-manager protocol)."""
         return None
 
     def __enter__(self):

@@ -458,18 +458,17 @@ _PARSERS = {
 # planning: canonical spec -> computation over one snapshot
 # ----------------------------------------------------------------------
 
-def _run_relfreq(spec, index, backend):
+def _run_relfreq(spec, index):
     """Execute a relfreq spec through the batch entry point."""
     return relative_frequency(
         index,
         list(spec.param("focus")),
         spec.param("candidates"),
         min_focus_count=spec.param("min_focus_count"),
-        backend=backend,
     )
 
 
-def _run_assoc2d(spec, index, backend):
+def _run_assoc2d(spec, index):
     """Execute an assoc2d spec through the batch entry point."""
     row_values = spec.param("row_values")
     col_values = spec.param("col_values")
@@ -481,22 +480,20 @@ def _run_assoc2d(spec, index, backend):
         interval_method=spec.param("method"),
         row_values=None if row_values is None else list(row_values),
         col_values=None if col_values is None else list(col_values),
-        backend=backend,
     )
 
 
-def _run_trends(spec, index, backend):
+def _run_trends(spec, index):
     """Execute a trends spec through the batch entry point."""
     buckets = spec.param("buckets")
     return trend_series(
         index,
         spec.param("key"),
         buckets=None if buckets is None else list(buckets),
-        backend=backend,
     )
 
 
-def _run_emerging(spec, index, backend):
+def _run_emerging(spec, index):
     """Execute an emerging spec through the batch entry point."""
     buckets = spec.param("buckets")
     return emerging_concepts(
@@ -504,15 +501,12 @@ def _run_emerging(spec, index, backend):
         spec.param("dimension"),
         buckets=None if buckets is None else list(buckets),
         min_total=spec.param("min_total"),
-        backend=backend,
     )
 
 
-def _run_cube(spec, index, backend):
+def _run_cube(spec, index):
     """Execute a cube spec, applying the optional view operation."""
-    cube = concept_cube(
-        index, list(spec.param("dimensions")), backend=backend
-    )
+    cube = concept_cube(index, list(spec.param("dimensions")))
     slice_ = spec.param("slice")
     if slice_ is not None:
         return cube.slice(slice_[0], slice_[1])
@@ -522,7 +516,7 @@ def _run_cube(spec, index, backend):
     return cube
 
 
-def _run_drilldown(spec, index, backend):
+def _run_drilldown(spec, index):
     """Execute a drill-down: intersect postings, optionally with text."""
     keys = spec.param("keys")
     docs = index.documents_with(keys[0])
@@ -540,7 +534,7 @@ def _run_drilldown(spec, index, backend):
     return {"doc_ids": doc_ids, "texts": texts}
 
 
-def _run_status(spec, index, backend):
+def _run_status(spec, index):
     """Execute a status query: the snapshot's structural counters."""
     return index.stats()
 
@@ -560,12 +554,11 @@ _RUNNERS = {
 CACHEABLE_KINDS = frozenset(QUERY_KINDS) - {"status"}
 
 
-def plan_query(spec, index, backend=None):
+def plan_query(spec, index):
     """Execute one canonical spec against one index snapshot.
 
-    ``backend`` is forwarded to the partial-aggregate ``compute``
-    exactly as a batch caller would pass it — which is the whole
-    point: the served result *is* the batch result on the snapshot,
-    on any execution backend.
+    Each kind calls the batch entry point exactly as a batch caller
+    would — which is the whole point: the served result *is* the batch
+    result on the snapshot.
     """
-    return _RUNNERS[spec.kind](spec, index, backend)
+    return _RUNNERS[spec.kind](spec, index)

@@ -31,6 +31,12 @@ from repro.serve.api import api_query, api_status
 #: byte of it is parsed.
 MAX_BODY_BYTES = 1 << 20
 
+#: Seconds a connection may sit idle (or stall mid-request) before its
+#: handler closes it.  Shutdown joins every handler thread, so without
+#: this bound one idle keep-alive client holds :meth:`InsightServer.stop`
+#: open for as long as it keeps the connection.
+IDLE_TIMEOUT_S = 5.0
+
 
 class _DrainingHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer that joins request threads on close.
@@ -52,6 +58,9 @@ class _Handler(BaseHTTPRequestHandler):
     """Routes the three endpoints onto the shared api functions."""
 
     protocol_version = "HTTP/1.1"
+    # The stdlib applies this as the socket timeout; a timed-out read
+    # of the next request line closes the connection quietly.
+    timeout = IDLE_TIMEOUT_S
     # Headers and body go out in two writes; with Nagle on, the body
     # waits for the client's delayed ACK of the headers (~40 ms) on
     # every keep-alive response.
@@ -111,11 +120,11 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self._send_json(400, {
-                "error": f"invalid JSON body: {exc}",
-                "code": "invalid-json",
-            })
-            return None
+            error = f"invalid JSON body: {exc}"
+        except RecursionError:
+            error = "invalid JSON body: nested too deeply"
+        self._send_json(400, {"error": error, "code": "invalid-json"})
+        return None
 
     def do_GET(self):
         """GET /status and /healthz."""
@@ -200,7 +209,8 @@ class InsightServer:
 
         Safe to call twice.  In-flight handler threads are joined
         (non-daemonic + ``block_on_close``), so every accepted query
-        is fully answered before this returns.
+        is fully answered before this returns; an idle keep-alive
+        connection holds it for at most :data:`IDLE_TIMEOUT_S`.
         """
         if self._thread is None:
             self._httpd.server_close()

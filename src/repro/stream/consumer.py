@@ -142,11 +142,11 @@ class StreamConsumer:
                  epochs=None):
         """Wire the consumer; raises on an unsafe index stage.
 
-        ``backend`` is the embedded runner's ready execution backend
-        (see :class:`~repro.engine.PipelineRunner`; ``None`` runs
-        inline): pure stages fan out across it, bit-identical to
-        serial, and it stays warm across micro-batches.  The consumer
-        borrows it; whoever built it closes it.
+        ``backend`` is the embedded runner's process pool (see
+        :class:`~repro.engine.PipelineRunner`; ``None`` runs inline):
+        pure stages fan out across it, bit-identical to inline
+        execution, and it stays warm across micro-batches.  The
+        consumer borrows it; whoever built it closes it.
 
         ``tracer``/``metrics`` override the ambient observability
         collectors (``None`` resolves the ambient slot per step, so an
@@ -369,7 +369,7 @@ class StreamConsumer:
         return self.report
 
     def close(self):
-        """Nothing to release: the backend is borrowed, not owned."""
+        """Nothing to release: the pool is borrowed, not owned."""
         return None
 
     def __enter__(self):

@@ -191,15 +191,25 @@ class ReplayLogSource(StreamSource):
         """Read and validate the whole log; the retryable unit.
 
         A bad line raises ``ValueError`` naming ``path:line`` and the
-        fault: invalid JSON, not an object, or a missing field.
+        fault: bytes that are not UTF-8, invalid or too deeply nested
+        JSON, not an object, a missing field, or artifacts that are not
+        an object.  The file is read in binary and each line decoded on
+        its own, so a bad byte is reported at its line.
         """
         fault_point("replay.read")
         records = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                if not line.strip():
+        with open(path, "rb") as handle:
+            for line_no, raw in enumerate(handle, start=1):
+                if not raw.strip():
                     continue
                 where = f"replay log {path}:{line_no}"
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ValueError(
+                        f"{where}: not valid UTF-8 ({exc.reason} at "
+                        f"byte {exc.start})"
+                    ) from None
                 try:
                     entry = json.loads(line)
                 except json.JSONDecodeError as exc:
@@ -207,6 +217,10 @@ class ReplayLogSource(StreamSource):
                         f"{where}: invalid JSON ({exc.msg} at column "
                         f"{exc.colno})"
                     ) from exc
+                except RecursionError:
+                    raise ValueError(
+                        f"{where}: invalid JSON (nested too deeply)"
+                    ) from None
                 if not isinstance(entry, dict):
                     raise ValueError(
                         f"{where}: expected a JSON object, got "
@@ -223,11 +237,17 @@ class ReplayLogSource(StreamSource):
                         f"{entry['offset']} (log must be dense and "
                         f"in delivery order)"
                     )
+                artifacts = entry.get("artifacts", {})
+                if not isinstance(artifacts, dict):
+                    raise ValueError(
+                        f"{where}: field 'artifacts' must be a JSON "
+                        f"object, got {type(artifacts).__name__}"
+                    )
                 document = Document(
                     doc_id=entry["doc_id"],
                     channel=entry.get("channel", ""),
                     text=entry.get("text", ""),
-                    artifacts=dict(entry.get("artifacts", {})),
+                    artifacts=dict(artifacts),
                 )
                 records.append(
                     StreamRecord(

@@ -28,6 +28,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["dance"])
 
+    @pytest.mark.parametrize("command", ["tables", "churn"])
+    def test_workers_is_the_only_execution_option(self, command):
+        parser = build_parser()
+        assert parser.parse_args([command, "--workers", "2"]).workers == 2
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--backend", "process"])
+
+    @pytest.mark.parametrize("command", ["stream", "serve", "chaos"])
+    def test_streaming_commands_run_inline(self, command):
+        # Their micro-batches are smaller than a runner batch, so a
+        # pool would never fan out: they take no execution option.
+        parser = build_parser()
+        for option in ("--workers", "--backend"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, option, "2"])
+
 
 class TestCommands:
     def test_tables_runs(self, capsys):
@@ -39,6 +55,17 @@ class TestCommands:
         assert "Table III" in out
         assert "Table IV" in out
         assert "Table II" in out
+
+    def test_tables_workers_match_inline(self, capsys):
+        # 80 calls in batches of 64: two batches, so --workers 2 really
+        # runs the pure stages on a process pool.
+        argv = ["tables", "--agents", "8", "--days", "2", "--seed", "3"]
+        assert main(argv + ["--workers", "0"]) == 0
+        inline = capsys.readouterr().out
+        assert main(argv + ["--workers", "2", "--stage-stats"]) == 0
+        pooled = capsys.readouterr().out
+        assert " par" in pooled
+        assert pooled.split("\n\n", 1)[1] == inline
 
     def test_asr_runs(self, capsys):
         rc = main(["asr", "--seed", "3"])

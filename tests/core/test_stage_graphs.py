@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import BIVoCConfig
 from repro.core.pipeline import BIVoCSystem
-from repro.exec import ThreadBackend
+from repro.exec import ProcessBackend
 from repro.core.usecases.churn import (
     link_evidence_text,
     run_churn_study,
@@ -87,7 +87,7 @@ class TestCallCenterStageGraph:
         serial = BIVoCSystem(
             BIVoCConfig(use_asr=False, link_mode="content")
         ).process_call_center(car_corpus)
-        with ThreadBackend(4) as backend:
+        with ProcessBackend(2) as backend:
             parallel = BIVoCSystem(
                 BIVoCConfig(
                     use_asr=False,
@@ -111,7 +111,7 @@ class TestCallCenterStageGraph:
         serial = BIVoCSystem(
             BIVoCConfig(use_asr=True, link_mode="content")
         ).process_call_center(car_corpus)
-        with ThreadBackend(3) as backend:
+        with ProcessBackend(2) as backend:
             parallel = BIVoCSystem(
                 BIVoCConfig(
                     use_asr=True,
@@ -144,7 +144,7 @@ class TestChurnStageGraph:
 
     def test_parallel_identical_to_serial(self, telecom_corpus):
         serial = run_churn_study(telecom_corpus, channel="sms")
-        with ThreadBackend(4) as backend:
+        with ProcessBackend(2) as backend:
             parallel = run_churn_study(
                 telecom_corpus, channel="sms", backend=backend,
                 batch_size=16,

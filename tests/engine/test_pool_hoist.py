@@ -1,20 +1,20 @@
-"""The runner's warm execution backend: built once, borrowed per run.
+"""The runner's warm process pool: built once, borrowed per run.
 
 A parallel runner uses exactly one executor no matter how many
-parallel stages or runs it executes (the backend's pool spawns once
-and is warm-reused), the runner only borrows the backend — closing the
-runner never shuts it down, the backend's owner does — the runner and
-the query engine take no execution argument besides ``backend``, and
-parallel output stays bit-identical to serial in every configuration.
+parallel stages or runs it executes (the pool spawns once and is
+warm-reused), the runner only borrows the pool — closing the runner
+never shuts it down, the pool's owner does — the runner takes no
+execution argument besides ``backend`` and the query engine none at
+all, and parallel output stays bit-identical to inline execution.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import pytest
 
 from repro.engine import Document, MapStage, PipelineRunner
-from repro.exec import ThreadBackend, make_backend
-import repro.exec.backend as backend_module
+from repro.exec import ProcessBackend, process_pool
+import repro.exec.procpool as procpool_module
 
 
 class Square(MapStage):
@@ -51,8 +51,12 @@ def _values(result):
     return [d.get("value") for d in result.documents]
 
 
-class CountingExecutor(ThreadPoolExecutor):
-    """ThreadPoolExecutor that counts constructions and shutdowns."""
+def _increment(x):
+    return x + 1
+
+
+class CountingExecutor(ProcessPoolExecutor):
+    """ProcessPoolExecutor that counts constructions and shutdowns."""
 
     created = 0
     closed = 0
@@ -68,18 +72,18 @@ class CountingExecutor(ThreadPoolExecutor):
 
 @pytest.fixture
 def counting(monkeypatch):
-    """Patch the thread backend's executor class and reset counters."""
+    """Patch the backend's executor class and reset counters."""
     CountingExecutor.created = 0
     CountingExecutor.closed = 0
     monkeypatch.setattr(
-        backend_module, "ThreadPoolExecutor", CountingExecutor
+        procpool_module, "ProcessPoolExecutor", CountingExecutor
     )
     return CountingExecutor
 
 
 class TestOneExecutorPerRunner:
     def test_single_pool_spans_all_stages(self, counting):
-        with make_backend("thread", workers=3) as backend:
+        with process_pool(2) as backend:
             with PipelineRunner(
                 [Square(), Offset(), Offset2()], batch_size=4,
                 backend=backend,
@@ -95,7 +99,7 @@ class TestOneExecutorPerRunner:
         assert counting.closed == 1
 
     def test_runs_share_the_warm_pool(self, counting):
-        with ThreadBackend(2) as backend:
+        with ProcessBackend(2) as backend:
             runner = PipelineRunner([Square()], batch_size=4, backend=backend)
             runner.run(_docs(16))
             runner.run(_docs(16))
@@ -111,7 +115,7 @@ class TestOneExecutorPerRunner:
         assert not any(s.parallel for s in result.report.stages)
 
     def test_workers_one_builds_no_pool(self, counting):
-        with ThreadBackend(1) as backend:
+        with ProcessBackend(1) as backend:
             result = PipelineRunner(
                 [Square()], batch_size=4, backend=backend
             ).run(_docs(16))
@@ -121,7 +125,7 @@ class TestOneExecutorPerRunner:
 
 class TestExternalPool:
     def test_injected_pool_is_used_and_kept_open(self, counting):
-        with ThreadBackend(3) as backend:
+        with ProcessBackend(2) as backend:
             runner = PipelineRunner(
                 [Square(), Offset()], batch_size=4, backend=backend
             )
@@ -133,16 +137,16 @@ class TestExternalPool:
             assert counting.created == 1
             assert counting.closed == 0
             assert all(s.parallel for s in first.report.stages)
-            assert backend.map(lambda x: x + 1, [41, 1]) == [42, 2]
+            assert backend.map(_increment, [41, 1]) == [42, 2]
         assert _values(first) == _values(second)
 
 
 class TestExclusiveExecutorKnobs:
     """One execution argument: two executors can never compete.
 
-    Every constructor takes a single ``backend``; the ``pool`` and
-    ``workers`` knobs no longer exist, so an ambiguous pair cannot be
-    passed at all — the runner and the query engine reject it alike.
+    The runner takes a single ``backend``; the ``pool`` and ``workers``
+    knobs no longer exist, so an ambiguous pair cannot be passed at
+    all — the runner and the query engine reject it alike.
     """
 
     def test_pool_with_workers_raises(self):
@@ -156,7 +160,7 @@ class TestExclusiveExecutorKnobs:
                 PipelineRunner([Square()], pool=pool, backend=None)
 
     def test_backend_instance_with_workers_raises(self):
-        with ThreadBackend(2) as backend:
+        with ProcessBackend(2) as backend:
             with pytest.raises(TypeError, match="'workers'"):
                 PipelineRunner([Square()], workers=3, backend=backend)
 
@@ -175,7 +179,7 @@ class TestBitIdentity:
         serial = PipelineRunner(
             [Square(), Offset()], batch_size=4
         ).run(_docs(40))
-        with make_backend("thread", workers=4) as backend:
+        with process_pool(2) as backend:
             hoisted = PipelineRunner(
                 stages, batch_size=4, backend=backend
             ).run(_docs(40))

@@ -1,8 +1,6 @@
 """Tests for the PipelineRunner: batching, funnel accounting,
 instrumentation, and the parallel-determinism guarantee."""
 
-from contextlib import nullcontext
-
 import pytest
 
 from repro.engine import (
@@ -12,7 +10,7 @@ from repro.engine import (
     PipelineRunner,
     Stage,
 )
-from repro.exec import ThreadBackend
+from repro.exec import ProcessBackend, process_pool
 
 
 class AddOne(MapStage):
@@ -34,6 +32,16 @@ class DropOdd(MapStage):
         """Discard odd doc ids with a recorded reason."""
         if document.doc_id % 2:
             document.discard(self.stage_name, "odd")
+
+
+class Square(MapStage):
+    """square <- value ** 2 (pure; module-level, so it pickles)."""
+
+    name = "square"
+
+    def process_document(self, document):
+        """Record the squared running value."""
+        document.put("square", document.get("value") ** 2)
 
 
 class BatchSpy(Stage):
@@ -170,16 +178,8 @@ class TestInstrumentation:
 
 class TestParallelDeterminism:
     def _run(self, workers, n=37, batch_size=4):
-        stages = [
-            AddOne(),
-            FunctionStage(
-                "square",
-                lambda d: d.put("square", d.get("value") ** 2),
-                pure=True,
-            ),
-            DropOdd(),
-        ]
-        with ThreadBackend(workers) if workers else nullcontext() as backend:
+        stages = [AddOne(), Square(), DropOdd()]
+        with process_pool(workers) as backend:
             return PipelineRunner(
                 stages, batch_size=batch_size, backend=backend
             ).run(_docs(n))
@@ -193,7 +193,7 @@ class TestParallelDeterminism:
     def test_parallel_marks_pure_stages_only(self):
         impure_spy = BatchSpy()
         stages = [AddOne(), impure_spy]
-        with ThreadBackend(4) as backend:
+        with ProcessBackend(2) as backend:
             report = PipelineRunner(
                 stages, batch_size=2, backend=backend
             ).run(_docs(8)).report
@@ -201,7 +201,7 @@ class TestParallelDeterminism:
         assert not report.stage("spy").parallel
 
     def test_single_batch_stays_serial(self):
-        with ThreadBackend(4) as backend:
+        with ProcessBackend(2) as backend:
             report = PipelineRunner(
                 [AddOne()], batch_size=100, backend=backend
             ).run(_docs(8)).report

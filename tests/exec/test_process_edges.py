@@ -8,7 +8,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import repro.exec.procpool as procpool_module
 from repro.engine import Document, MapStage, PipelineRunner
-from repro.exec import BackendError, ProcessBackend, ThreadBackend
+from repro.exec import BackendError, ProcessBackend
 from repro.faults import (
     FaultPlan,
     FaultSpec,
@@ -172,26 +172,16 @@ class TestTeardown:
 
 
 class TestChunking:
-    """About four chunks per worker, overridable, never zero."""
+    """About four chunks per worker, never zero."""
 
     def test_default_chunking(self):
         assert ProcessBackend(4)._chunk_for(32) == 2
         assert ProcessBackend(2)._chunk_for(100) == 13
         assert ProcessBackend(8)._chunk_for(3) == 1
 
-    def test_override_wins(self):
-        assert ProcessBackend(4, chunk_size=7)._chunk_for(1000) == 7
-
 
 class TestWorkerFaults:
     """An injected crash in one worker surfaces as the original error."""
-
-    def test_thread_worker_fault_surfaces(self):
-        with injecting(_exec_worker_plan().injector()):
-            with ThreadBackend(2) as backend:
-                with pytest.raises(InjectedFault) as err:
-                    backend.map(_fault_then_double, range(8))
-        assert err.value.point == "exec:worker"
 
     def test_process_worker_fault_surfaces_with_remote_traceback(self):
         # Fork start method: the armed injector (a module global) is
@@ -202,7 +192,7 @@ class TestWorkerFaults:
                     backend.map(_fault_then_double, range(8))
         assert err.value.point == "exec:worker"
         # The stdlib chains the worker-side traceback as __cause__, so
-        # the failure reads exactly like the serial one would.
+        # the failure reads exactly like the inline one would.
         assert err.value.__cause__ is not None
         assert "exec:worker" in str(err.value)
 

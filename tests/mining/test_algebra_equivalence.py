@@ -4,8 +4,7 @@ The acceptance bar of the partial/merge/finalize refactor: every
 mining analytic, on both synthetic corpora, for shard counts 1, 2, 4
 and 7 (7 deliberately does not divide either corpus evenly), produces
 *bit-identical* results to the unsharded index — ``==`` on the result
-objects, never approximate comparison.  The same holds when the shard
-partials run on a thread pool instead of serially.
+objects, never approximate comparison.
 """
 
 
@@ -16,7 +15,6 @@ from repro.annotation.domains import CHURN_DRIVER_SURFACES
 from repro.annotation.matcher import AnnotationEngine
 from repro.core import BIVoCConfig
 from repro.core.pipeline import BIVoCSystem
-from repro.exec import ThreadBackend
 from repro.mining.assoc2d import associate
 from repro.mining.index import ConceptIndex
 from repro.mining.olap import concept_cube
@@ -179,29 +177,3 @@ class TestShardedEquivalence:
         )
         first = spec["cube_dims"][0]
         assert actual.margin(first) == expected.margin(first)
-
-
-class TestPooledEquivalence:
-    def test_pool_matches_serial(self, corpus_pair):
-        # The thread-pool fan-out preserves shard order in the merge,
-        # so pooled results are bit-identical to serial ones.
-        single, spec = corpus_pair
-        sharded = reshard(single, 4)
-        serial = {
-            "relfreq": relative_frequency(
-                sharded, spec["focus"], spec["candidates"]
-            ),
-            "emerging": emerging_concepts(sharded, spec["trend_dim"]),
-        }
-        serial_table = associate(sharded, spec["rows"], spec["cols"])
-        with ThreadBackend(4) as backend:
-            assert relative_frequency(
-                sharded, spec["focus"], spec["candidates"], backend=backend
-            ) == serial["relfreq"]
-            assert emerging_concepts(
-                sharded, spec["trend_dim"], backend=backend
-            ) == serial["emerging"]
-            pooled_table = associate(
-                sharded, spec["rows"], spec["cols"], backend=backend
-            )
-        assert_tables_identical(serial_table, pooled_table)

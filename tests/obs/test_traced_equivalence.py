@@ -9,12 +9,11 @@ micro-batches.
 """
 
 import random
-from contextlib import nullcontext
 
 import pytest
 
 from repro.engine import Document, FunctionStage, MapStage, PipelineRunner
-from repro.exec import ThreadBackend
+from repro.exec import process_pool
 from repro.linking.fagin import fagin_merge
 from repro.mining.stage import ConceptIndexStage
 from repro.obs import MetricsRegistry, Tracer, activated
@@ -68,7 +67,7 @@ class TestEngineEquivalence:
                 [AddOne(), DropOdd()], batch_size=4, backend=backend
             )
 
-        with ThreadBackend(workers) if workers else nullcontext() as backend:
+        with process_pool(workers) as backend:
             untraced = build(backend).run(_docs(23))
             with activated(Tracer(), MetricsRegistry()):
                 traced = build(backend).run(_docs(23))
@@ -89,8 +88,8 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("workers", [0, 4])
     def test_stage_batch_nesting(self, workers):
         tracer = Tracer()
-        with activated(tracer, MetricsRegistry()), (
-            ThreadBackend(workers) if workers else nullcontext()
+        with activated(tracer, MetricsRegistry()), process_pool(
+            workers
         ) as backend:
             PipelineRunner(
                 [AddOne(), DropOdd()], batch_size=4, backend=backend
@@ -100,10 +99,15 @@ class TestEngineEquivalence:
         assert run.parent_id is None
         stages = by_name["stage:add-one"] + by_name["stage:drop-odd"]
         assert all(s.parent_id == run.span_id for s in stages)
+        assert all(s.tags["parallel"] == bool(workers) for s in stages)
         stage_ids = {s.span_id for s in stages}
-        batches = by_name["batch"]
-        assert len(batches) == 6  # 3 batches per stage
-        assert all(b.parent_id in stage_ids for b in batches)
+        batches = by_name.get("batch", [])
+        if workers:
+            # Pooled batches run in workers, out of the tracer's reach.
+            assert batches == []
+        else:
+            assert len(batches) == 6  # 3 batches per stage
+            assert all(b.parent_id in stage_ids for b in batches)
 
     def test_hot_path_nests_under_ambient_span(self):
         tracer = Tracer()

@@ -2,14 +2,13 @@
 
 Each seed draws a random corpus and configuration, then asserts the
 four equivalence oracles in :func:`repro.prop.check_equivalences`:
-sharded == single-index, every backend == serial, crash/resume ==
+sharded == single-index, process pool == inline, crash/resume ==
 uninterrupted, traced == untraced.  A failing seed prints a one-line
 ``bivoc prop --seed N`` reproduction command.
 """
 
 import pytest
 
-from repro.exec import BACKEND_KINDS
 from repro.prop import check_equivalences, describe_case, generate_case
 from repro.prop.harness import _check, make_documents
 
@@ -35,12 +34,6 @@ class TestCaseGenerator:
         cases = {generate_case(seed) for seed in range(N_SEEDS)}
         assert len(cases) > N_SEEDS // 2
 
-    def test_band_covers_every_backend(self):
-        drawn = {
-            generate_case(seed).backend for seed in range(N_SEEDS)
-        }
-        assert drawn == set(BACKEND_KINDS)
-
     def test_band_covers_multiple_shard_counts(self):
         drawn = {generate_case(seed).shards for seed in range(N_SEEDS)}
         assert len(drawn) >= 4
@@ -64,7 +57,6 @@ class TestCaseGenerator:
             assert 24 <= case.n_docs <= 96
             assert 1 <= case.shards <= 8
             assert 2 <= case.workers <= 4
-            assert case.backend in BACKEND_KINDS
             assert case.channels == tuple(sorted(case.channels))
 
 

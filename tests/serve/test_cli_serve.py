@@ -85,8 +85,7 @@ def serve_args(tmp_path):
 def test_serve_answers_and_shuts_down_gracefully(serve_args):
     """The CLI server ingests, answers queries, and drains on request."""
     ready, argv = serve_args
-    thread, box = _serve_in_thread(argv + ["--shards", "2",
-                                           "--query-workers", "2"])
+    thread, box = _serve_in_thread(argv + ["--shards", "2"])
     try:
         info = _await_ready(ready)
         base = f"http://{info['host']}:{info['port']}"
@@ -137,3 +136,4 @@ def test_serve_warm_starts_from_checkpoint(serve_args, tmp_path):
     # The warm-started server sees the same fully drained corpus.
     assert second["result"]["documents"] == first["result"]["documents"]
     assert second["epoch"] >= first["epoch"]
+

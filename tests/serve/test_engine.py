@@ -1,10 +1,9 @@
-"""QueryEngine: epoch stamping, caching, pooling, observability."""
+"""QueryEngine: epoch stamping, caching, inline execution, observability."""
 
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.exec import ThreadBackend
 from repro.obs import MetricsRegistry, Tracer, activated
 from repro.serve import QueryCache, QueryEngine
 from repro.stream import EpochStore
@@ -101,52 +100,30 @@ class TestCaching:
         assert len(cache) == 0
 
     def test_status_body_merges_cache_and_workers(self):
-        """The status value reports cache occupancy and pool size."""
-        with ThreadBackend(3) as backend:
-            engine = QueryEngine(
-                _drained_epochs(), backend=backend,
-                cache=QueryCache(capacity=9),
-            )
-            engine.query(ASSOC)
-            body = engine.query({"kind": "status"}).value
+        """The status value reports cache occupancy; queries run
+        inline, so it carries no worker or backend fields."""
+        engine = QueryEngine(
+            _drained_epochs(), cache=QueryCache(capacity=9)
+        )
+        engine.query(ASSOC)
+        body = engine.query({"kind": "status"}).value
         assert body["cache"]["entries"] == 1
         assert body["cache"]["capacity"] == 9
-        assert body["workers"] == 3
+        assert "workers" not in body
+        assert "backend" not in body
         assert body["documents"] == len(make_pairs())
-        assert QueryEngine(_drained_epochs()).query(
-            {"kind": "status"}
-        ).value["workers"] == 0
 
 
 class TestPooling:
-    """A borrowed backend: bit-identical to serial, never closed."""
-
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_pooled_equals_serial(self, shards):
-        """Every kind answers identically with and without a pool."""
-        epochs = _drained_epochs(shards=shards)
-        serial = QueryEngine(epochs)
-        with ThreadBackend(4) as backend:
-            pooled = QueryEngine(epochs, backend=backend)
-            for payload in (ASSOC, CUBE, TRENDS):
-                assert (
-                    pooled.query(payload).value
-                    == serial.query(payload).value
-                )
-
-    def test_injected_pool_is_not_shut_down(self):
-        """A borrowed backend survives engine.close()."""
-        with ThreadBackend(2) as backend:
-            engine = QueryEngine(_drained_epochs(shards=2), backend=backend)
-            engine.query(ASSOC)
-            engine.close()
-            assert backend.map(lambda x: x + 1, [6, 1]) == [7, 2]
+    """Queries run inline: the engine takes no execution argument."""
 
     def test_pool_and_workers_are_exclusive(self):
-        """Neither legacy knob exists: one backend argument only."""
+        """No execution knob exists: pool, workers and backend alike."""
         with ThreadPoolExecutor(max_workers=2) as pool:
             with pytest.raises(TypeError, match="unexpected keyword"):
                 QueryEngine(EpochStore(), pool=pool, workers=4)
+        with pytest.raises(TypeError, match="'backend'"):
+            QueryEngine(EpochStore(), backend=None)
 
 
 class TestObservability:

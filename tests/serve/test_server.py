@@ -3,13 +3,14 @@
 import http.client
 import json
 import socket
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.serve import InsightServer, LocalClient, QueryCache, QueryEngine
-from repro.serve.server import _Handler
+from repro.serve.server import IDLE_TIMEOUT_S, _Handler
 from repro.stream import EpochStore
 
 from tests.serve.corpus import make_consumer, make_pairs
@@ -136,17 +137,20 @@ class TestErrorMapping:
         assert excinfo.value.code == 400
 
     def test_invalid_json_body_is_structured(self, engine, server):
-        """The 400 body carries both prose and a machine code."""
-        request = urllib.request.Request(
-            f"http://{server.host}:{server.port}/query",
-            data=b"{ torn",
-            method="POST",
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        body = json.loads(excinfo.value.read())
-        assert body["code"] == "invalid-json"
-        assert body["error"]
+        """The 400 body carries both prose and a machine code — also
+        for nesting deep enough to exhaust the parser's recursion."""
+        for data in (b"{ torn", b"[" * 200_000):
+            request = urllib.request.Request(
+                f"http://{server.host}:{server.port}/query",
+                data=data,
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=10)
+            assert excinfo.value.code == 400
+            body = json.loads(excinfo.value.read())
+            assert body["code"] == "invalid-json"
+            assert body["error"]
 
     def test_empty_body_is_400_with_code(self, engine, server):
         """A bodyless POST answers a coded 400, not a parse crash."""
@@ -236,6 +240,25 @@ class TestShutdown:
             urllib.request.urlopen(
                 f"http://127.0.0.1:{port}/status", timeout=2
             )
+
+    def test_idle_keepalive_client_does_not_hold_stop(self, engine):
+        """An open, idle keep-alive connection delays stop() by at most
+        the idle timeout (its handler thread is joined on close)."""
+        server = InsightServer(engine, port=0).start()
+        connection = http.client.HTTPConnection(
+            server.host, server.port, timeout=30
+        )
+        try:
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200
+            response.read()
+            started = time.monotonic()
+            server.stop()
+            elapsed = time.monotonic() - started
+        finally:
+            connection.close()
+        assert elapsed < IDLE_TIMEOUT_S + 3.0
 
     def test_stop_is_idempotent(self, engine):
         """Calling stop twice (or before start) never raises."""

@@ -3,8 +3,8 @@
 The acceptance bar for the serving subsystem: while a consumer commits
 micro-batches, concurrent readers issue analytic queries and *every*
 response must be ``==`` to the batch computation over the exact stream
-prefix named by its epoch stamp — serial and pooled, single-index and
-sharded, with tracing active.  A torn read (a response mixing two
+prefix named by its epoch stamp — single-index and sharded, with
+tracing active.  A torn read (a response mixing two
 epochs, or observing a half-applied batch) cannot produce a value that
 equals any prefix's batch reference, so the equality sweep doubles as
 the no-torn-read check.
@@ -14,7 +14,6 @@ import threading
 
 import pytest
 
-from repro.exec import make_backend
 from repro.obs import MetricsRegistry, Tracer, activated
 from repro.serve import QueryCache, QueryEngine, QuerySpec, plan_query
 from repro.stream import EpochStore
@@ -41,8 +40,7 @@ PAYLOADS = [
 
 
 @pytest.mark.parametrize("shards", [1, 4])
-@pytest.mark.parametrize("workers", [0, 2])
-def test_reader_responses_equal_batch_reference(shards, workers):
+def test_reader_responses_equal_batch_reference(shards):
     """Every concurrent response == its epoch's batch computation."""
     pairs = make_pairs()
     epochs = EpochStore(history=None)  # retain every epoch to verify
@@ -50,10 +48,7 @@ def test_reader_responses_equal_batch_reference(shards, workers):
     # Commit one batch up front: association analysis (correctly)
     # refuses an empty index, so readers start at a non-empty epoch.
     assert consumer.step()
-    backend = make_backend("thread", workers=workers) if workers else None
-    engine = QueryEngine(
-        epochs, backend=backend, cache=QueryCache(capacity=32)
-    )
+    engine = QueryEngine(epochs, cache=QueryCache(capacity=32))
     specs = [QuerySpec.parse(dict(p)) for p in PAYLOADS]
 
     start = threading.Barrier(N_READERS + 1)
@@ -93,8 +88,6 @@ def test_reader_responses_equal_batch_reference(shards, workers):
         for thread in threads:
             thread.join()
     engine.close()
-    if backend is not None:
-        backend.close()
     assert not errors, errors
 
     published = set(epochs.epochs())

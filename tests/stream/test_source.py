@@ -105,13 +105,21 @@ class TestReplayLog:
     def test_malformed_line_names_path_and_line(self, tmp_path):
         path = tmp_path / "stream.jsonl"
         write_replay_log(path, [(0, _doc(i)) for i in range(3)])
-        lines = path.read_text().splitlines()
-        lines[2] = lines[2][: len(lines[2]) // 2]  # torn write
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError) as excinfo:
-            ReplayLogSource(path)
-        assert not isinstance(excinfo.value, json.JSONDecodeError)
-        assert f"{path}:3: invalid JSON" in str(excinfo.value)
+        lines = path.read_bytes().splitlines()
+        entry = json.loads(lines[2])
+        entry["artifacts"] = 5
+        bad_lines = {
+            lines[2][: len(lines[2]) // 2]: "invalid JSON",  # torn write
+            b"[" * 200_000: "invalid JSON (nested too deeply)",
+            lines[2].replace(b"text 2", b"text \xff\xfe"): "not valid UTF-8",
+            json.dumps(entry).encode(): "field 'artifacts' must be a JSON",
+        }
+        for bad, fault in bad_lines.items():
+            path.write_bytes(b"\n".join(lines[:2] + [bad]) + b"\n")
+            with pytest.raises(ValueError) as excinfo:
+                ReplayLogSource(path)
+            assert type(excinfo.value) is ValueError
+            assert f"{path}:3: {fault}" in str(excinfo.value)
 
     def test_unserialisable_artifacts_rejected(self, tmp_path):
         document = _doc(0, transcript=object())
